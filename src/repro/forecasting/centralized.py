@@ -56,6 +56,10 @@ class CentralizedForecastResult:
     forecasts: dict[str, CentralizedClientForecast]
     train_seconds: float
     final_loss: float
+    #: Pooled training windows and epochs fit actually ran: the counted
+    #: work behind ``train_seconds``.
+    n_samples: int
+    epochs_run: int
 
     def metrics_of(self, client_name: str) -> RegressionMetrics:
         return self.forecasts[client_name].metrics
@@ -166,6 +170,8 @@ class CentralizedForecaster:
             forecasts=forecasts,
             train_seconds=timer.elapsed,
             final_loss=history.history["loss"][-1],
+            n_samples=len(x_pool),
+            epochs_run=len(history.history["loss"]),
         )
 
     def train_evaluate_prepared(
@@ -215,4 +221,6 @@ class CentralizedForecaster:
             forecasts=forecasts,
             train_seconds=timer.elapsed,
             final_loss=history.history["loss"][-1],
+            n_samples=len(x_pool),
+            epochs_run=len(history.history["loss"]),
         )

@@ -19,11 +19,14 @@ throughput overhead by ``benchmarks/bench_streaming.py obs_overhead``.
 
 Instrumented out of the box:
 
-* ``StreamingDetector.process_tick`` / ``process_block`` — per-stage
-  spans (validate, scale/buffer, forward, threshold) plus counters for
-  readings, flags, missing readings and no-anchor impute fallbacks;
-* ``StreamReplayEngine.run`` — per-tick/per-block latency histograms, a
-  mitigate span, readings/s gauge, churn and fallback-wiring counters;
+* ``StreamingDetector.process_block`` (and its ``B = 1`` view
+  ``process_tick``) — per-stage spans (validate, scale/buffer, forward,
+  threshold) plus counters for readings, flags, missing readings and
+  no-anchor impute fallbacks;
+* ``StreamReplayEngine.run`` — a step latency histogram
+  (``repro_stream_tick_seconds`` at ``block_size=1``,
+  ``repro_stream_block_seconds`` otherwise), a mitigate span,
+  readings/s gauge, churn and fallback-wiring counters;
 * ``repro.stream.checkpoint`` — save/load durations and archive bytes;
 * ``repro.nn.backend`` — kernel dispatch counts per resolved backend;
 * ``Sequential.fit`` — per-epoch timings;

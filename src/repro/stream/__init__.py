@@ -15,13 +15,14 @@ mitigation is causal, built only from the past
 any batch attack scenario through the pipeline and reports throughput,
 latency, and the paper's detection metrics.
 
-Block mode batches the *time* axis as well:
+The pipeline step is a block, batching the *time* axis as well:
 :meth:`StreamingDetector.process_block` ingests ``(n_stations, B)``
 readings and scores every window the block completes in one inference
 pass, and ``engine.run(fleet, block_size=B)`` drives the whole closed
-loop block-wise (``block_size=1`` is bit-identical to tick-by-tick;
-larger blocks move mitigation feedback and adaptive-threshold updates
-to block granularity).
+loop block-wise.  Every per-tick entry point (``process_tick``,
+``step_tick``, ``mitigate``) is the ``B = 1`` view of its block
+counterpart; larger blocks move mitigation feedback and
+adaptive-threshold updates to block granularity.
 
 Operations: the pipeline checkpoints to a single ``.npz`` with
 bit-exact resume (:mod:`~repro.stream.checkpoint`), fleets grow and

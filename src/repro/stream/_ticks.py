@@ -76,6 +76,18 @@ def check_tick(
     return values, _check_stations(stations, len(values), n_stations)
 
 
+def as_column(values: np.ndarray) -> np.ndarray:
+    """One tick of per-station values as the ``(k, 1)`` block it is.
+
+    The per-tick entry points are views of their block counterparts;
+    this is the one place a tick is checked for shape and widened.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError(f"values must be 1-D, got shape {values.shape}")
+    return values[:, None]
+
+
 def check_block(
     values: np.ndarray, stations: np.ndarray | None, n_stations: int
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.analysis.markers import hot_path
 from repro.stream._state import StateDict, check_keys, take
-from repro.stream._ticks import check_block, check_drop, check_tick
+from repro.stream._ticks import as_column, check_block, check_drop, check_tick
 
 
 class RingBufferBank:
@@ -68,14 +68,9 @@ class RingBufferBank:
         values, stations = check_tick(values, stations, self.n_stations)
         self.push_checked(values, stations)
 
-    @hot_path
     def push_checked(self, values: np.ndarray, stations: np.ndarray) -> None:
-        """:meth:`push` for pre-validated ``(values, stations)`` arrays."""
-        write = self._write[stations]
-        self._data[stations, write] = values
-        self._data[stations, write + self.length] = values
-        self._write[stations] = (write + 1) % self.length
-        self.counts[stations] += 1
+        """:meth:`push` for pre-validated arrays: a one-column block push."""
+        self.push_block_checked(values[:, None], stations)
 
     def push_block(self, values: np.ndarray, stations: np.ndarray | None = None) -> None:
         """Append ``B`` consecutive readings per station in one call.
@@ -95,12 +90,18 @@ class RingBufferBank:
         # the surviving tail so every target slot is scattered exactly once.
         effective = min(block, self.length)
         skip = block - effective
-        write = (self._write[stations] + skip) % self.length
-        columns = (write[:, None] + np.arange(effective)[None, :]) % self.length
-        self._data[stations[:, None], columns] = values[:, skip:]
-        self._data[stations[:, None], columns + self.length] = values[:, skip:]
-        self._write[stations] = (self._write[stations] + block) % self.length
+        write = self._write[stations]
+        columns = ((write + skip)[:, None] + np.arange(effective)) % self.length
+        slots = self._flat(stations, columns)
+        self._data.put(slots, values[:, skip:])
+        self._data.put(slots + self.length, values[:, skip:])
+        self._write[stations] = (write + block) % self.length
         self.counts[stations] += block
+
+    def _flat(self, stations: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """Flat ``_data`` indices of per-station ``(k, m)`` ``columns``: one
+        1-D gather/scatter is much cheaper than a 2-D fancy index."""
+        return (stations * (2 * self.length))[:, None] + columns
 
     @hot_path
     def windows(self, stations: np.ndarray | None = None) -> np.ndarray:
@@ -138,34 +139,21 @@ class RingBufferBank:
             return np.empty((len(stations), 0), dtype=np.float64)
         # The last `length` readings sit in doubled columns
         # [write, write + length); the last m are the tail of that slice.
-        columns = (
-            self._write[stations, None] + (self.length - m) + np.arange(m)[None, :]
-        )
-        return self._data[stations[:, None], columns]
+        columns = (self._write[stations] + (self.length - m))[:, None] + np.arange(m)
+        return self._data.take(self._flat(stations, columns))
 
     def amend_last(self, values: np.ndarray, stations: np.ndarray | None = None) -> None:
-        """Overwrite the most recent reading per addressed station.
-
-        Used for closed-loop mitigation: replacing a flagged reading
-        with its repaired value stops one corrupted tick from polluting
-        the next ``length`` windows.  Stations must have pushed at least
-        once.
-        """
-        values, stations = check_tick(values, stations, self.n_stations)
-        if not np.all(self.counts[stations] >= 1):
-            raise ValueError("amend_last() requires at least one prior push")
-        newest = (self._write[stations] - 1) % self.length
-        self._data[stations, newest] = values
-        self._data[stations, newest + self.length] = values
+        """Overwrite the most recent reading: :meth:`amend_block` with ``B = 1``."""
+        self.amend_block(as_column(values), stations)
 
     def amend_block(self, values: np.ndarray, stations: np.ndarray | None = None) -> None:
         """Overwrite the most recent ``B`` readings per addressed station.
 
-        Block-mode counterpart of :meth:`amend_last`: after a block of
-        ``B`` pushes, rewrite those same ``B`` slots with repaired
-        values (columns past ``length`` history are silently clipped to
-        the ``length`` the ring still remembers).  ``B = 1`` is exactly
-        :meth:`amend_last`.
+        Used for closed-loop mitigation: after a block of ``B`` pushes,
+        rewrite those same ``B`` slots with repaired values so one
+        corrupted reading does not pollute the next ``length`` windows
+        (columns past ``length`` history are silently clipped to the
+        ``length`` the ring still remembers).
         """
         values, stations = check_block(values, stations, self.n_stations)
         self.amend_block_checked(values, stations)
@@ -186,7 +174,9 @@ class RingBufferBank:
         """
         block = values.shape[1]
         if not np.all(self.counts[stations] >= min(block, self.length)):
-            raise ValueError("amend_block() requires the block to have been pushed")
+            raise ValueError(
+                "amending requires a prior push: every amended reading must have been pushed"
+            )
         if block > self.length:
             # Only the newest `length` readings still exist in the ring.
             values = values[:, block - self.length :]

@@ -33,10 +33,13 @@ be reloaded.
 from __future__ import annotations
 
 import json
+import os
 import time
 import warnings
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -64,6 +67,32 @@ class CheckpointError(ValueError):
     reader.  Subclasses :class:`ValueError` so pre-existing callers
     catching that keep working.
     """
+
+
+def write_atomic(path: Path, write: Callable[[BinaryIO], object]) -> None:
+    """Crash-consistently replace ``path`` with what ``write`` emits.
+
+    ``write`` fills a hidden sibling temp file, which is fsynced and
+    then renamed over ``path`` (``os.replace`` is atomic); the directory
+    is fsynced last so the rename itself is durable.  A failure or kill
+    at any point leaves the previous ``path`` untouched.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    if hasattr(os, "O_DIRECTORY"):  # POSIX: a directory can be fsynced
+        fd = os.open(path.parent, os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
 def _library_version() -> str:
@@ -273,7 +302,7 @@ def save_checkpoint(
         # overwrite a sibling checkpoint.
         path = path.with_name(path.name + ".npz")
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, **arrays)
+    write_atomic(path, lambda fh: np.savez(fh, **arrays))
     if reg.enabled:
         reg.histogram(
             "repro_stream_checkpoint_save_seconds",

@@ -9,14 +9,14 @@ in ONE forward pass (micro-batching — the difference between thousands
 of tiny LSTM invocations and one wide matmul chain per tick), and each
 station's window MSE is compared against its threshold.
 
-Block ingestion (:meth:`StreamingDetector.process_block`) batches the
-*time* axis too: a ``(n_stations, B)`` block of consecutive readings is
-scaled, buffered, and scored — all ``B × n_stations`` completed windows
-in ONE forward pass — with zero per-tick Python.  ``B = 1`` reproduces
-:meth:`process_tick` bit-for-bit; larger blocks trade decision latency
-for throughput (see ``benchmarks/bench_streaming.py``).
+:meth:`StreamingDetector.process_block` is the one ingestion path: a
+``(n_stations, B)`` block of consecutive readings is scaled, buffered,
+and scored — all ``B × n_stations`` completed windows in ONE forward
+pass — with zero per-tick Python.  :meth:`~StreamingDetector.process_tick`
+is its ``B = 1`` view; larger blocks trade decision latency for
+throughput (see ``benchmarks/bench_streaming.py``).
 
-Replaying a series tick-by-tick reproduces the batch detector's
+Replaying a series one tick at a time reproduces the batch detector's
 window-mode flags exactly: same windows, same forward pass, same
 threshold (see ``tests/stream/test_stream_parity.py``).
 
@@ -31,8 +31,8 @@ Thresholds come in two flavours:
   boundary is frozen for the duration of one block (flags inside a block
   are decided against the thresholds that stood at its start) and all of
   the block's clean scores are swept into the sketch afterwards —
-  adaptation happens at block granularity, which coincides with
-  tick granularity at ``B = 1``.
+  adaptation happens at block granularity, which is tick granularity
+  at ``B = 1``.
 
 Operations: the detector serializes its full pipeline state via
 ``state_dict()``/``load_state_dict()`` (bundle with the autoencoder via
@@ -54,7 +54,7 @@ from repro.analysis.markers import hot_path
 from repro.anomaly.autoencoder import LSTMAutoencoder
 from repro.data.windowing import sliding_windows
 from repro.stream._state import StateDict, check_keys, nest, scalar, take, unnest
-from repro.stream._ticks import check_block, check_drop, check_tick
+from repro.stream._ticks import as_column, check_block, check_drop
 from repro.stream.buffers import RingBufferBank
 from repro.stream.quantile import P2QuantileBank
 from repro.stream.scaler import StreamingMinMaxScaler
@@ -242,107 +242,24 @@ class StreamingDetector:
         self.adaptive = None
         return self._thresholds
 
-    @hot_path
     def process_tick(
         self, values: np.ndarray, stations: np.ndarray | None = None
     ) -> TickResult:
-        """Ingest one reading per station and emit fleet-wide decisions.
+        """Ingest one reading per station: :meth:`process_block` with ``B = 1``.
 
         ``values`` holds raw readings for every station (or for the
         subset named by ``stations`` — only those are buffered and
         scored, which is the micro-batching entry point for fleets whose
         stations report on heterogeneous schedules).
-
-        A NaN reading raises under the default ``missing="raise"``; with
-        ``missing="impute"`` it is treated as a missing observation (see
-        the class docstring).
         """
-        reg = obs.registry()
-        no_anchor_imputes = 0
-        # Validate ONCE; every downstream bank gets pre-checked arrays.
-        with reg.span("repro_stream_validate"):
-            values, station_index = check_tick(values, stations, self.n_stations)
-        with reg.span("repro_stream_scale_buffer"):
-            miss = np.isnan(values)
-            missing_full = np.zeros(self.n_stations, dtype=bool)
-            if miss.any():
-                if self.missing == "raise":
-                    raise ValueError(
-                        f"{int(miss.sum())} NaN reading(s) at tick {self.tick}; "
-                        "missing readings are rejected by default — construct the "
-                        "detector with missing='impute' to accept them"
-                    )
-                missing_full[station_index[miss]] = True
-                self.missing_counts[station_index[miss]] += 1
-                present = ~miss
-                scaled = np.empty_like(values)
-                if self.scaler is not None:
-                    if present.any():
-                        # Only real readings fold into the bounds.
-                        scaled[present] = self.scaler.ingest_tick_checked(
-                            values[present], station_index[present]
-                        )
-                    floor = self.scaler.feature_range[0]
-                else:
-                    scaled[present] = values[present]
-                    floor = 0.0
-                # Causal impute in scaled space: the station's last buffered
-                # value (which reflects closed-loop repairs), or the scale
-                # floor for a buffer that has never seen a reading.
-                miss_idx = station_index[miss]
-                if reg.enabled:
-                    # Imputes with no buffered anchor degrade to the floor.
-                    no_anchor_imputes = int((self.buffers.counts[miss_idx] < 1).sum())
-                scaled[miss] = np.where(
-                    self.buffers.counts[miss_idx] >= 1,
-                    self.buffers.last(miss_idx),
-                    floor,
-                )
-            elif self.scaler is not None:
-                # Fused fit+transform: raises on an unscalable reading
-                # BEFORE committing bounds, matching the block path's ordering.
-                scaled = self.scaler.ingest_tick_checked(values, station_index)
-            else:
-                scaled = values
-            self.buffers.push_checked(scaled, station_index)
-
-        scores = np.full(self.n_stations, np.nan, dtype=np.float64)
-        flags = np.zeros(self.n_stations, dtype=bool)
-        due = station_index[self.buffers.ready[station_index]]
-        if due.size:
-            with reg.span("repro_stream_forward"):
-                windows = self.buffers.windows(due)
-                # The micro-batch: one forward pass for every due station.
-                scores[due] = self.autoencoder.window_errors(windows[:, :, None])
-            with reg.span("repro_stream_threshold"):
-                thresholds = self.thresholds[due]
-                with np.errstate(invalid="ignore"):
-                    flags[due] = scores[due] > np.nan_to_num(thresholds, nan=np.inf)
-                # An absent reading is never flagged (the score judged an
-                # imputed stand-in, not a sensor value).
-                flags &= ~missing_full
-                if self.adaptive is not None:
-                    # Guarded adaptation: flagged scores never move the
-                    # boundary, and neither do windows closed by an impute.
-                    clean = due[~flags[due] & ~missing_full[due]]
-                    if clean.size:
-                        self.adaptive.update_checked(scores[clean], clean)
-        scored = np.zeros(self.n_stations, dtype=bool)
-        scored[due] = True
-        if reg.enabled:
-            self._record_obs(
-                reg, values.size, int(flags.sum()), int(missing_full.sum()),
-                no_anchor_imputes,
-            )
-        result = TickResult(
-            tick=self.tick,
-            scored=scored,
-            scores=scores,
-            flags=flags,
-            missing=missing_full,
+        block = self.process_block(as_column(values), stations)
+        return TickResult(
+            tick=block.first_tick,
+            scored=block.scored[:, 0],
+            scores=block.scores[:, 0],
+            flags=block.flags[:, 0],
+            missing=block.missing[:, 0],
         )
-        self.tick += 1
-        return result
 
     @hot_path
     def process_block(
@@ -356,28 +273,25 @@ class StreamingDetector:
         columns are scaled with exact tick-by-tick bound-widening
         semantics, pushed into the ring buffers in one scatter, and every
         window the block completes is scored in ONE autoencoder forward
-        pass — the per-tick Python overhead of ``B`` :meth:`process_tick`
-        calls collapses into one pipeline pass.
+        pass.
 
-        ``B = 1`` is bit-for-bit identical to :meth:`process_tick` (the
-        inference batch composition is the same).  With adaptive
-        (``"p2"``) thresholds, the boundary is frozen across the block
-        and clean scores are folded in afterwards (block-granular
-        adaptation); fixed thresholds have no such coupling and match
-        tick-by-tick replay to floating-point round-off for any ``B`` —
-        larger batches can take different BLAS kernel paths, so the last
-        ulp of a float32 score is not guaranteed across batch sizes.
+        With adaptive (``"p2"``) thresholds, the boundary is frozen
+        across the block and clean scores are folded in afterwards
+        (block-granular adaptation); fixed thresholds have no such
+        coupling and match one-tick-at-a-time replay to floating-point
+        round-off for any ``B`` — larger batches can take different BLAS
+        kernel paths, so the last ulp of a float32 score is not
+        guaranteed across batch sizes.
 
         NaN readings raise under the default ``missing="raise"`` and are
         treated as missing observations under ``missing="impute"`` (see
-        the class docstring); ``B = 1`` impute semantics coincide with
-        :meth:`process_tick`.
+        the class docstring).
         """
         reg = obs.registry()
         no_anchor_imputes = 0
         with reg.span("repro_stream_validate"):
             values, station_index = check_block(values, stations, self.n_stations)
-        k, block = values.shape
+        block = values.shape[1]
         length = self.sequence_length
 
         with reg.span("repro_stream_scale_buffer"):
@@ -404,73 +318,52 @@ class StreamingDetector:
             else:
                 scaled = values
             if any_missing:
-                self.missing_counts[station_index] += miss.sum(axis=1)
-                # Causal impute in scaled space, forward-filled along the
-                # block: each missing entry takes the most recent present
-                # scaled value, carrying in the pre-block buffered value (or
-                # the scale floor for a never-written buffer) — exactly what
-                # B sequential process_tick imputes would have produced.
-                floor = self.scaler.feature_range[0] if self.scaler is not None else 0.0
-                carry = np.where(
-                    self.buffers.counts[station_index] >= 1,
-                    self.buffers.last(station_index),
-                    floor,
-                )
-                ext = np.concatenate([carry[:, None], scaled], axis=1)
-                ext_present = np.concatenate(
-                    [np.ones((k, 1), dtype=bool), present], axis=1
-                )
-                anchor = np.maximum.accumulate(
-                    np.where(ext_present, np.arange(block + 1)[None, :], 0), axis=1
-                )
-                if reg.enabled:
-                    # Missing entries whose forward-fill anchor is the
-                    # carry of a never-written buffer took the floor.
-                    no_anchor_imputes = int(
-                        (
-                            miss
-                            & (anchor[:, 1:] == 0)
-                            & (self.buffers.counts[station_index] < 1)[:, None]
-                        ).sum()
-                    )
-                filled = np.take_along_axis(ext, anchor, axis=1)[:, 1:]
-                scaled = np.where(present, scaled, filled)
+                no_anchor_imputes = self._impute(scaled, miss, station_index, reg.enabled)
 
-            # History tail ‖ block: window ending at block column t is
-            # extended[:, t : t + L] — a strided view, no per-tick Python.
-            counts_before = self.buffers.counts[station_index].copy()
-            tail = self.buffers.recent(length - 1, station_index)
+            # History tail ‖ block: the window ending at block column t is
+            # extended[:, t : t + L].
+            counts_before = self.buffers.counts[station_index]
+            extended = np.concatenate(
+                [self.buffers.recent(length - 1, station_index), scaled], axis=1
+            )
             self.buffers.push_block_checked(scaled, station_index)
-            extended = np.concatenate([tail, scaled], axis=1)
-            windows = np.lib.stride_tricks.sliding_window_view(extended, length, axis=1)
 
         # Column t completes a window iff the station had accumulated
         # length-1-t readings beforehand.
-        due = (
-            counts_before[:, None] + np.arange(1, block + 1)[None, :] >= length
-        )
+        due = counts_before[:, None] + np.arange(1, block + 1)[None, :] >= length
+        rows, cols = np.nonzero(due)
+        # Flat positions of the decided entries in the (n_stations, B)
+        # outputs: one 1-D put is much cheaper than a 2-D fancy scatter.
+        decided = station_index[rows] * block + cols
         scores = np.full((self.n_stations, block), np.nan, dtype=np.float64)
         flags = np.zeros((self.n_stations, block), dtype=bool)
         scored = np.zeros((self.n_stations, block), dtype=bool)
         missing_full = np.zeros((self.n_stations, block), dtype=bool)
         if any_missing:
             missing_full[station_index] = miss
-        rows, cols = np.nonzero(due)
         if rows.size:
             with reg.span("repro_stream_forward"):
+                # windows[r, t] is extended[r, t : t + L]: a strided view
+                # of the fresh contiguous `extended` (no per-tick Python,
+                # no index matrix; the ndarray constructor is the cheapest
+                # way to build it).
+                windows = np.ndarray(
+                    (len(extended), block, length),
+                    extended.dtype,
+                    extended,
+                    strides=extended.strides + extended.strides[1:],
+                )
                 # ONE forward pass for every completed window in the block.
                 errors = self.autoencoder.window_errors(windows[rows, cols][:, :, None])
             with reg.span("repro_stream_threshold"):
-                scores[station_index[rows], cols] = errors
-                thresholds = self.thresholds[station_index[rows]]
-                with np.errstate(invalid="ignore"):
-                    flags[station_index[rows], cols] = errors > np.nan_to_num(
-                        thresholds, nan=np.inf
-                    )
+                scores.put(decided, errors)
+                # A NaN boundary (not calibrated yet) never flags.
+                flagged = errors > self.thresholds[station_index[rows]]
                 if any_missing:
                     # An absent reading is never flagged (the score judged
                     # an imputed stand-in, not a sensor value).
-                    flags[station_index] &= present
+                    flagged &= present.take(rows * block + cols)
+                flags.put(decided, flagged)
                 if self.adaptive is not None:
                     # Guarded, block-granular adaptation: sweep the block's
                     # clean scores (flagged and imputed ones pre-masked out)
@@ -482,7 +375,7 @@ class StreamingDetector:
                         self.adaptive.update_block_checked(
                             scores[station_index], station_index, mask=clean
                         )
-        scored[station_index[rows], cols] = True
+        scored.put(decided, True)
         if reg.enabled:
             self._record_obs(
                 reg, values.size, int(flags.sum()), int(missing_full.sum()),
@@ -497,6 +390,41 @@ class StreamingDetector:
         )
         self.tick += block
         return result
+
+    def _impute(
+        self,
+        scaled: np.ndarray,
+        miss: np.ndarray,
+        station_index: np.ndarray,
+        count_fallbacks: bool,
+    ) -> int:
+        """Fill the missing entries of ``scaled`` in place, causally.
+
+        Each missing entry takes the most recent present scaled value in
+        its row, carrying in the station's last buffered value (which
+        reflects closed-loop repairs) or the scale floor for a buffer
+        that has never seen a reading.  Only rows holding a missing entry
+        are touched.  Returns how many imputes fell back to the floor
+        (counted only when ``count_fallbacks``; 0 otherwise).
+        """
+        rows = np.flatnonzero(miss.any(axis=1))
+        stations = station_index[rows]
+        row_miss = miss[rows]
+        self.missing_counts[stations] += row_miss.sum(axis=1)
+        warm = self.buffers.counts[stations] >= 1
+        floor = self.scaler.feature_range[0] if self.scaler is not None else 0.0
+        carry = np.where(warm, self.buffers.last(stations), floor)
+        carried = np.concatenate([carry[:, None], scaled[rows]], axis=1)
+        # Position in `carried` of the value each entry takes: itself when
+        # present, else the last present one before it (0 = the carry).
+        anchor = np.maximum.accumulate(
+            np.where(row_miss, 0, np.arange(1, carried.shape[1])), axis=1
+        )
+        starts = np.arange(0, carried.size, carried.shape[1])[:, None]
+        scaled[rows] = carried.take(starts + anchor)
+        if not count_fallbacks:
+            return 0
+        return int(np.count_nonzero((anchor == 0) & ~warm[:, None]))
 
     @staticmethod
     def _record_obs(
@@ -525,19 +453,8 @@ class StreamingDetector:
     def amend_last(
         self, values: np.ndarray, stations: np.ndarray | None = None
     ) -> None:
-        """Replace the newest buffered reading with a repaired value.
-
-        Closed-loop operation: after mitigation, writing the repaired
-        value back into the window buffer stops a single attacked tick
-        from corrupting the next ``sequence_length`` windows (which is
-        what smears window-mode flags onto normal neighbours).  Note
-        that a closed loop intentionally diverges from the open-loop
-        batch detector, which always scores the raw series.
-        """
-        values = np.asarray(values, dtype=np.float64)
-        if self.scaler is not None:
-            values = self.scaler.transform(values, stations)
-        self.buffers.amend_last(values, stations)
+        """Replace the newest buffered reading: :meth:`amend_block` with ``B = 1``."""
+        self.amend_block(as_column(values), stations)
 
     def amend_block(
         self,
@@ -547,13 +464,17 @@ class StreamingDetector:
     ) -> None:
         """Replace the newest ``B`` buffered readings with repaired values.
 
-        Block-mode closed loop: repairs are written back at block
-        granularity — the *next* block's windows see the repaired
-        history, while windows inside the amended block were already
-        scored against the raw readings.  ``B = 1`` coincides with
-        :meth:`amend_last`.  Repaired values are re-scaled under the
-        current bounds (never widening them; repairs are not
-        observations).
+        Closed-loop operation: after mitigation, writing the repaired
+        values back into the window buffer stops an attacked reading
+        from corrupting the next ``sequence_length`` windows (which is
+        what smears window-mode flags onto normal neighbours).  Repairs
+        are written back at block granularity — the *next* block's
+        windows see the repaired history, while windows inside the
+        amended block were already scored against the raw readings.  A
+        closed loop intentionally diverges from the open-loop batch
+        detector, which always scores the raw series.  Repaired values
+        are re-scaled under the current bounds (never widening them;
+        repairs are not observations).
 
         ``flags`` (same shape, optional) restricts the rewrite to the
         flagged entries.  The closed loop must pass it when the scaler is
@@ -570,8 +491,7 @@ class StreamingDetector:
                 )
         if self.scaler is not None:
             # `flags` doubles as the present mask: stations with no
-            # rewritten entries need no fitted bounds (the tick path
-            # never addresses them at all).
+            # rewritten entries need no fitted bounds.
             values = self.scaler.transform_block_fixed_checked(
                 values, station_index, present=flags
             )

@@ -5,9 +5,10 @@ scenarios, trained autoencoders) and the streaming world: it takes a
 ``(n_stations, n_ticks)`` fleet matrix — built from any
 :class:`~repro.attacks.scenario.AttackScenario` via
 :func:`attack_fleet`, or synthesized at arbitrary scale via
-:func:`synthesize_fleet` — and feeds it tick-by-tick through a
-:class:`~repro.stream.detector.StreamingDetector` and an optional
-:class:`~repro.stream.mitigation.StreamingMitigator`, timing every tick.
+:func:`synthesize_fleet` — and feeds it block by block (``B = 1``: one
+tick at a time) through a :class:`~repro.stream.detector.StreamingDetector`
+and an optional :class:`~repro.stream.mitigation.StreamingMitigator`,
+timing every step.
 
 The resulting :class:`StreamReport` carries throughput (ticks/s and
 station-readings/s), per-tick latency quantiles, the full flag/mitigated
@@ -15,7 +16,7 @@ matrices, and — when ground-truth labels are supplied — the same
 point-level detection metrics the batch experiments report
 (:func:`repro.anomaly.metrics.aggregate_detection_metrics`).
 
-The replay loop itself (tick/block scheduling, latency bookkeeping,
+The replay loop itself (block scheduling, latency bookkeeping,
 interrupt recovery, report assembly) lives in :class:`ReplayDriver`, an
 engine-agnostic base shared between the in-process
 :class:`StreamReplayEngine` and the multi-process
@@ -36,6 +37,7 @@ from repro.anomaly.metrics import DetectionMetrics, aggregate_detection_metrics
 from repro.attacks.scenario import AttackScenario
 from repro.data.datasets import ClientDataset
 from repro.data.shenzhen import PAPER_ZONE_CONFIGS, generate_zone_series
+from repro.stream._ticks import as_column
 from repro.stream.detector import StreamingDetector
 from repro.stream.mitigation import StreamingMitigator
 from repro.stream.mitigation import get as get_mitigator
@@ -148,13 +150,13 @@ class StreamReport:
 class ReplayDriver:
     """Engine-agnostic replay loop: scheduling, timing, report assembly.
 
-    Subclasses supply the fleet shape and the closed-loop step
-    primitives — :attr:`n_stations`, :attr:`missing_mode`,
-    ``_step_tick(values, reg)`` and ``_step_block(values, reg)``, each
-    returning ``(result, mitigated)`` where ``result`` carries
-    ``flags``/``scores``/``missing`` — and inherit the whole public
-    replay surface (:meth:`run`, :meth:`step_tick`, :meth:`step_block`)
-    with identical semantics.  The single-process
+    Subclasses supply the fleet shape and ONE closed-loop step
+    primitive — :attr:`n_stations`, :attr:`missing_mode` and
+    ``_step_block(values, reg)``, which takes an ``(n_stations, B)``
+    block and returns ``(flags, scores, missing, mitigated)``, each the
+    block's shape — and inherit the whole public replay surface
+    (:meth:`run`, :meth:`step_tick`, :meth:`step_block`).  A tick is a
+    ``B = 1`` block everywhere.  The single-process
     :class:`StreamReplayEngine` and the multi-process
     :class:`~repro.stream.shard.ShardedFleetEngine` are the two
     implementations; because they share this exact loop, their
@@ -170,56 +172,33 @@ class ReplayDriver:
         """The detector's missing-data mode (``"raise"`` or ``"impute"``)."""
         raise NotImplementedError
 
-    def _step_tick(self, values: np.ndarray, reg) -> tuple:
-        raise NotImplementedError
-
     def _step_block(self, values: np.ndarray, reg) -> tuple:
         raise NotImplementedError
 
     def step_tick(
         self, values: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Process one tick of live readings through the closed loop.
+        """Process one ``(n_stations,)`` tick: :meth:`step_block` with ``B = 1``.
 
-        The live-ingestion entry point (one assembled ``(n_stations,)``
-        column): identical semantics to one iteration of
-        :meth:`run`'s tick path.  Returns ``(flags, scores, missing,
-        mitigated)``, each ``(n_stations,)``; without a mitigator,
-        ``mitigated`` is a copy of ``values`` (NaN readings stay NaN).
+        Returns ``(flags, scores, missing, mitigated)``, each
+        ``(n_stations,)``.
         """
-        values = np.asarray(values, dtype=np.float64)
-        result, mitigated = self._step_tick(values, obs.registry())
-        missing = (
-            result.missing
-            if result.missing is not None
-            else np.zeros(result.flags.shape, dtype=bool)
-        )
-        if mitigated is None:
-            mitigated = values.copy()
-        return result.flags, result.scores, missing, mitigated
+        out = self._step_block(as_column(values), obs.registry())
+        return tuple(column[:, 0] for column in out)
 
     def step_block(
         self, values: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Process one ``(n_stations, B)`` block through the closed loop.
 
-        The live-ingestion entry point for batched readings: identical
-        semantics to one iteration of :meth:`run`'s block path, so a
-        server feeding consecutive blocks reproduces
-        ``run(fleet, block_size=B)`` bit-for-bit on the same readings.
-        Returns ``(flags, scores, missing, mitigated)``, each
-        ``(n_stations, B)``.
+        The live-ingestion entry point: identical semantics to one
+        iteration of :meth:`run`, so a server feeding consecutive blocks
+        reproduces ``run(fleet, block_size=B)`` bit-for-bit on the same
+        readings.  Returns ``(flags, scores, missing, mitigated)``, each
+        ``(n_stations, B)``; without a mitigator, ``mitigated`` is a copy
+        of ``values`` (NaN readings stay NaN).
         """
-        values = np.asarray(values, dtype=np.float64)
-        result, mitigated = self._step_block(values, obs.registry())
-        missing = (
-            result.missing
-            if result.missing is not None
-            else np.zeros(result.flags.shape, dtype=bool)
-        )
-        if mitigated is None:
-            mitigated = values.copy()
-        return result.flags, result.scores, missing, mitigated
+        return self._step_block(np.asarray(values, dtype=np.float64), obs.registry())
 
     def close(self, timeout: float = 5.0) -> None:
         """Release any engine-held resources.
@@ -260,17 +239,17 @@ class ReplayDriver:
         ``block_size`` feeds ``B`` ticks at a time through
         :meth:`~repro.stream.detector.StreamingDetector.process_block` —
         the throughput lever for large fleets (one forward pass and one
-        mitigation call per block instead of per tick).  ``block_size=1``
-        reproduces the tick-by-tick replay bit-for-bit.  Larger blocks
-        keep tick semantics for scaling and fixed-threshold scoring (to
-        floating-point round-off — float32 inference can round the last
-        ulp differently across batch sizes), but move the closed loop to
-        block granularity: repairs
-        are written back only *between* blocks, so windows inside a
-        block score raw readings (and adaptive thresholds update per
-        block).  A trailing partial block is processed with whatever
-        ticks remain.  Per-tick ``latencies`` within one block report
-        the block's wall-clock divided evenly across its ticks.
+        mitigation call per block instead of per tick); the default
+        ``block_size=1`` decides every tick before the next one arrives.
+        Larger blocks keep tick semantics for scaling and fixed-threshold
+        scoring (to floating-point round-off — float32 inference can
+        round the last ulp differently across batch sizes), but move the
+        closed loop to block granularity: repairs are written back only
+        *between* blocks, so windows inside a block score raw readings
+        (and adaptive thresholds update per block).  A trailing partial
+        block is processed with whatever ticks remain.  Per-tick
+        ``latencies`` within one block report the block's wall-clock
+        divided evenly across its ticks.
 
         ``fleet`` may also be any *iterable* of per-tick
         ``(n_stations,)`` readings (a generator, a live source): ticks
@@ -305,18 +284,20 @@ class ReplayDriver:
             ) from None
         return self._run_stream(ticks, station_names, block_size)
 
-    def _obs_run_metrics(self, reg) -> tuple:
-        tick_hist = block_hist = None
-        if reg.enabled:
-            tick_hist = reg.histogram(
+    @staticmethod
+    def _step_histogram(reg, block_size: int):
+        """The histogram one run's steps land in (``None`` when disabled)."""
+        if not reg.enabled:
+            return None
+        if block_size == 1:
+            return reg.histogram(
                 "repro_stream_tick_seconds",
                 help="Wall-clock per tick-mode engine step (detect + mitigate).",
             )
-            block_hist = reg.histogram(
-                "repro_stream_block_seconds",
-                help="Wall-clock per block-mode engine step (detect + mitigate).",
-            )
-        return tick_hist, block_hist
+        return reg.histogram(
+            "repro_stream_block_seconds",
+            help="Wall-clock per block-mode engine step (detect + mitigate).",
+        )
 
     def _finalize(
         self,
@@ -390,43 +371,22 @@ class ReplayDriver:
         latencies = np.empty(n_ticks, dtype=np.float64)
 
         reg = obs.registry()
-        tick_hist, block_hist = self._obs_run_metrics(reg)
+        step_hist = self._step_histogram(reg, block_size)
 
         error: BaseException | None = None
         completed = 0
         start = time.perf_counter()
         try:
-            if block_size == 1:
-                for tick in range(n_ticks):
-                    tick_start = time.perf_counter()
-                    result, tick_mitigated = self._step_tick(fleet[:, tick], reg)
-                    flags[:, tick] = result.flags
-                    scores[:, tick] = result.scores
-                    if result.missing is not None:
-                        missing[:, tick] = result.missing
-                    if tick_mitigated is not None:
-                        mitigated[:, tick] = tick_mitigated
-                    latencies[tick] = time.perf_counter() - tick_start
-                    if tick_hist is not None:
-                        tick_hist.observe(latencies[tick])
-                    completed = tick + 1
-            else:
-                for first in range(0, n_ticks, block_size):
-                    block_start = time.perf_counter()
-                    sl = slice(first, min(first + block_size, n_ticks))
-                    result, block_mitigated = self._step_block(fleet[:, sl], reg)
-                    flags[:, sl] = result.flags
-                    scores[:, sl] = result.scores
-                    if result.missing is not None:
-                        missing[:, sl] = result.missing
-                    if block_mitigated is not None:
-                        mitigated[:, sl] = block_mitigated
-                    block_ticks = sl.stop - sl.start
-                    block_elapsed = time.perf_counter() - block_start
-                    latencies[sl] = block_elapsed / block_ticks
-                    if block_hist is not None:
-                        block_hist.observe(block_elapsed)
-                    completed = sl.stop
+            for first in range(0, n_ticks, block_size):
+                block_start = time.perf_counter()
+                sl = slice(first, min(first + block_size, n_ticks))
+                out = self._step_block(fleet[:, sl], reg)
+                flags[:, sl], scores[:, sl], missing[:, sl], mitigated[:, sl] = out
+                block_elapsed = time.perf_counter() - block_start
+                latencies[sl] = block_elapsed / (sl.stop - sl.start)
+                if step_hist is not None:
+                    step_hist.observe(block_elapsed)
+                completed = sl.stop
         except (Exception, KeyboardInterrupt) as exc:
             error = exc
         elapsed = time.perf_counter() - start
@@ -461,26 +421,17 @@ class ReplayDriver:
         lat: list[float] = []
 
         reg = obs.registry()
-        tick_hist, block_hist = self._obs_run_metrics(reg)
+        step_hist = self._step_histogram(reg, block_size)
 
         def do_block(block: np.ndarray) -> None:
             block_start = time.perf_counter()
-            result, block_mitigated = self._step_block(block, reg)
-            if block_mitigated is None:
-                block_mitigated = block.copy()
-            block_missing = (
-                result.missing
-                if result.missing is not None
-                else np.zeros(result.flags.shape, dtype=bool)
-            )
+            out = self._step_block(block, reg)
             block_elapsed = time.perf_counter() - block_start
-            flag_cols.extend(result.flags.T)
-            score_cols.extend(result.scores.T)
-            miss_cols.extend(block_missing.T)
-            mit_cols.extend(block_mitigated.T)
+            for cols, decided in zip((flag_cols, score_cols, miss_cols, mit_cols), out):
+                cols.extend(decided.T)
             lat.extend([block_elapsed / block.shape[1]] * block.shape[1])
-            if block_hist is not None:
-                block_hist.observe(block_elapsed)
+            if step_hist is not None:
+                step_hist.observe(block_elapsed)
 
         error: BaseException | None = None
         pending: list[np.ndarray] = []
@@ -492,27 +443,10 @@ class ReplayDriver:
                     raise ValueError(
                         f"each tick must be ({n_stations},), got {values.shape}"
                     )
-                if block_size == 1:
-                    tick_start = time.perf_counter()
-                    result, tick_mitigated = self._step_tick(values, reg)
-                    if tick_mitigated is None:
-                        tick_mitigated = values.copy()
-                    flag_cols.append(result.flags)
-                    score_cols.append(result.scores)
-                    miss_cols.append(
-                        result.missing
-                        if result.missing is not None
-                        else np.zeros(n_stations, dtype=bool)
-                    )
-                    mit_cols.append(tick_mitigated)
-                    lat.append(time.perf_counter() - tick_start)
-                    if tick_hist is not None:
-                        tick_hist.observe(lat[-1])
-                else:
-                    pending.append(values)
-                    if len(pending) == block_size:
-                        do_block(np.stack(pending, axis=1))
-                        pending.clear()
+                pending.append(values)
+                if len(pending) == block_size:
+                    do_block(np.stack(pending, axis=1))
+                    pending.clear()
             if pending:
                 # Trailing partial block — same semantics as the
                 # materialized path's final short block.
@@ -544,7 +478,7 @@ class ReplayDriver:
 
 
 class StreamReplayEngine(ReplayDriver):
-    """Drive a fleet matrix through detection + mitigation, tick by tick."""
+    """Drive a fleet matrix through detection + mitigation, block by block."""
 
     def __init__(
         self,
@@ -552,7 +486,7 @@ class StreamReplayEngine(ReplayDriver):
         mitigator: StreamingMitigator | str | None = None,
         feedback: bool = True,
     ) -> None:
-        """``feedback`` (closed loop, default) writes each tick's repaired
+        """``feedback`` (closed loop, default) writes each step's repaired
         values back into the detector's window buffer, so one attacked
         reading cannot smear flags onto the next ``sequence_length``
         normal ticks.  Pass ``feedback=False`` for open-loop scoring that
@@ -634,68 +568,34 @@ class StreamReplayEngine(ReplayDriver):
         writeback = repair & np.isfinite(repaired)
         scaler = self.detector.scaler
         if scaler is not None and not scaler.fitted.all():
-            fitted = scaler.fitted
-            writeback &= fitted if repair.ndim == 1 else fitted[:, None]
+            writeback &= scaler.fitted[:, None]
         return writeback
-
-    @hot_path
-    def _step_tick(self, values: np.ndarray, reg) -> tuple:
-        """One closed-loop tick: detect, mitigate, write back.
-
-        Returns ``(result, mitigated)`` where ``mitigated`` is ``None``
-        when no mitigator is configured.  This is the exact loop body of
-        :meth:`run`'s tick path, shared with live ingestion
-        (:mod:`repro.serve`), so a served stream and an offline replay
-        of the same readings take one code path.
-        """
-        self._wire_fallback()
-        result = self.detector.process_tick(values)
-        mitigated = None
-        if self.mitigator is not None:
-            with reg.span("repro_stream_mitigate"):
-                # Missing readings are repaired exactly like flagged
-                # ones: the policy's causal impute replaces the NaN.
-                missing = (
-                    result.missing
-                    if result.missing is not None
-                    else np.zeros(result.flags.shape, dtype=bool)
-                )
-                repair = result.flags | missing
-                mitigated = self.mitigator.mitigate(values, repair)
-                if self.feedback and repair.any():
-                    writeback = self._writeback_mask(repair, mitigated)
-                    if writeback.any():
-                        stations = np.nonzero(writeback)[0]
-                        self.detector.amend_last(mitigated[stations], stations)
-        return result, mitigated
 
     @hot_path
     def _step_block(self, values: np.ndarray, reg) -> tuple:
         """One closed-loop block: detect, mitigate, write back.
 
-        The block-mode counterpart of :meth:`_step_tick` — the exact
-        loop body of :meth:`run`'s block path.
+        The exact loop body of :meth:`run`, shared with live ingestion
+        (:mod:`repro.serve`), so a served stream and an offline replay
+        of the same readings take one code path.
         """
         self._wire_fallback()
         result = self.detector.process_block(values)
-        mitigated = None
-        if self.mitigator is not None:
-            with reg.span("repro_stream_mitigate"):
-                missing = (
-                    result.missing
-                    if result.missing is not None
-                    else np.zeros(result.flags.shape, dtype=bool)
-                )
-                repair = result.flags | missing
-                mitigated = self.mitigator.mitigate_block(values, repair)
-                if self.feedback and repair.any():
-                    # Mask-restricted: only repaired entries are
-                    # written back, so clean readings keep the
-                    # running-bounds scaling they were buffered with.
-                    writeback = self._writeback_mask(repair, mitigated)
-                    if writeback.any():
-                        self.detector.amend_block(mitigated, flags=writeback)
-        return result, mitigated
+        if self.mitigator is None:
+            return result.flags, result.scores, result.missing, values.copy()
+        with reg.span("repro_stream_mitigate"):
+            # Missing readings are repaired exactly like flagged ones:
+            # the policy's causal impute replaces the NaN.
+            repair = result.flags | result.missing
+            mitigated = self.mitigator.mitigate_block(values, repair)
+            if self.feedback and repair.any():
+                # Mask-restricted: only repaired entries are written
+                # back, so clean readings keep the running-bounds
+                # scaling they were buffered with.
+                writeback = self._writeback_mask(repair, mitigated)
+                if writeback.any():
+                    self.detector.amend_block(mitigated, flags=writeback)
+        return result.flags, result.scores, result.missing, mitigated
 
     def add_stations(
         self,

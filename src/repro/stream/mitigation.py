@@ -17,12 +17,13 @@ wires the fallback to the detector scaler's ``data_min_`` (the smallest
 reading ever observed per station) automatically; stations without a
 fallback keep the historical raw-passthrough behaviour.
 
-Block mode: :meth:`StreamingMitigator.mitigate_block` repairs a
+Every built-in policy has one implementation,
+:meth:`StreamingMitigator.mitigate_block`, which repairs a
 ``(n_stations, B)`` block in one call, vectorized across *time* as well
-— forward-filled anchor indices replace the per-tick Python loop — and
-is exactly equivalent to ``B`` sequential :meth:`mitigate` calls (the
-repair at column ``t`` sees the same last-good/trend/seasonal state a
-tick-by-tick replay would have had).
+— forward-filled anchor indices replace a per-tick Python loop — and
+the repair at column ``t`` sees the same last-good/trend/seasonal state
+one-tick-at-a-time replay would have had.  :meth:`~StreamingMitigator.mitigate`
+is its ``B = 1`` view.
 
 Operations: every policy serializes its runtime state via
 ``state_dict()`` / ``load_state_dict()`` (see
@@ -33,6 +34,8 @@ stations' state.
 
 from __future__ import annotations
 
+from typing import NoReturn
+
 import numpy as np
 
 from repro.stream._state import StateDict, check_keys, nest, take, unnest
@@ -41,7 +44,11 @@ from repro.stream.buffers import RingBufferBank
 
 
 class StreamingMitigator:
-    """Base policy: per-tick ``mitigate(values, flags) -> repaired``.
+    """Base policy: ``mitigate_block(values, flags) -> repaired``.
+
+    A policy overrides :meth:`mitigate_block` (``(n_stations, B)``
+    blocks; the built-ins do) or :meth:`mitigate` (one
+    ``(n_stations,)`` tick); the base class derives the other.
 
     ``fallback`` is an optional scalar or ``(n_stations,)`` array used
     to repair a flagged reading when no clean anchor exists yet; NaN
@@ -69,21 +76,31 @@ class StreamingMitigator:
         return self
 
     def mitigate(self, values: np.ndarray, flags: np.ndarray) -> np.ndarray:
-        """Return repaired readings for one tick; never mutates input."""
-        raise NotImplementedError
+        """Return repaired readings for one tick: :meth:`mitigate_block` with ``B = 1``."""
+        if type(self).mitigate_block is StreamingMitigator.mitigate_block:
+            self._not_implemented()
+        values, flags = self._check(values, flags)
+        return self.mitigate_block(values[:, None], flags[:, None])[:, 0]
 
     def mitigate_block(self, values: np.ndarray, flags: np.ndarray) -> np.ndarray:
-        """Repair a ``(n_stations, B)`` block; equals ``B`` sequential ticks.
+        """Repair a ``(n_stations, B)`` block; never mutates input.
 
-        The base implementation loops over columns so any custom policy
-        works in a block engine unchanged; the built-in policies override
-        it with time-vectorized versions.
+        The base implementation loops :meth:`mitigate` over columns, so
+        a custom policy that only repairs single ticks still works in a
+        block engine.
         """
+        if type(self).mitigate is StreamingMitigator.mitigate:
+            self._not_implemented()
         values, flags = self._check_block(values, flags)
         repaired = np.empty_like(values)
         for t in range(values.shape[1]):
             repaired[:, t] = self.mitigate(values[:, t], flags[:, t])
         return repaired
+
+    def _not_implemented(self) -> NoReturn:
+        raise NotImplementedError(
+            f"{type(self).__name__} must override mitigate_block() (or mitigate())"
+        )
 
     # ------------------------------------------------------------------
     # operations: serialization and elastic fleets
@@ -149,31 +166,26 @@ class StreamingMitigator:
         return f"{type(self).__name__}(n_stations={self.n_stations})"
 
 
-def _anchored(
-    values: np.ndarray,
-    clean: np.ndarray,
-    carry: np.ndarray,
-    carry_clean: bool | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Forward-fill scaffolding shared by the block policies.
+def _row_starts(matrix: np.ndarray) -> np.ndarray:
+    """Flat offset of each row of a C-contiguous ``matrix``, as a column.
 
-    Returns ``(ext_vals, anchor)`` over extended positions ``0..B``
-    where position 0 carries the pre-block state ``carry`` and position
-    ``t + 1`` is block column ``t``.  ``anchor[u]`` is the most recent
-    *state-refreshing* extended index at or before ``u``.  By default
-    the carry anchors only when finite (anchor −1 until something clean
-    appears); ``carry_clean=True`` makes it anchor unconditionally, for
-    policies whose pre-block state always exists (so anchor >= 0).
+    Adding a same-shape column-index matrix gives flat indices for one
+    1-D ``take`` — much cheaper than a 2-D fancy gather.
     """
-    n, block = values.shape
-    ext_vals = np.empty((n, block + 1), dtype=np.float64)
-    ext_vals[:, 0] = carry
-    ext_vals[:, 1:] = values
-    ext_clean = np.empty((n, block + 1), dtype=bool)
-    ext_clean[:, 0] = np.isfinite(carry) if carry_clean is None else carry_clean
-    ext_clean[:, 1:] = clean
-    index = np.where(ext_clean, np.arange(block + 1)[None, :], -1)
-    return ext_vals, np.maximum.accumulate(index, axis=1)
+    return np.arange(0, matrix.size, matrix.shape[1])[:, None]
+
+
+def _refreshes(flags: np.ndarray, carried_at: np.ndarray | int) -> np.ndarray:
+    """Position of the last state refresh at or before each block column.
+
+    Block column ``t`` is position ``t + 1``; a clean (unflagged) column
+    refreshes the policy state at itself, and until the first one the
+    carried pre-block state counts as a refresh at ``carried_at`` (<= 0,
+    scalar or ``(n, 1)``).  A forward fill over positions, no per-tick
+    Python.
+    """
+    positions = np.arange(1, flags.shape[1] + 1)
+    return np.maximum.accumulate(np.where(flags, carried_at, positions), axis=1)
 
 
 class HoldLastGoodMitigator(StreamingMitigator):
@@ -193,31 +205,18 @@ class HoldLastGoodMitigator(StreamingMitigator):
         super().__init__(n_stations, fallback=fallback)
         self.last_good = np.full(self.n_stations, np.nan, dtype=np.float64)
 
-    def mitigate(self, values: np.ndarray, flags: np.ndarray) -> np.ndarray:
-        values, flags = self._check(values, flags)
-        # No clean anchor yet (or the anchor was itself a NaN reading):
-        # degrade to the fallback; NaN fallback passes the raw through.
-        source = np.where(np.isfinite(self.last_good), self.last_good, self.fallback)
-        repaired = np.where(flags & np.isfinite(source), source, values)
-        clean = ~flags
-        self.last_good[clean] = values[clean]
-        return repaired
-
     def mitigate_block(self, values: np.ndarray, flags: np.ndarray) -> np.ndarray:
         values, flags = self._check_block(values, flags)
-        ext_vals, anchor = _anchored(values, ~flags, self.last_good)
-        # A flagged column u never refreshes state, so anchor[u] is
-        # already "the last clean value strictly before u".  A
-        # non-finite anchor value (none yet, or a clean NaN reading)
-        # degrades to the fallback, exactly as the tick path does.
-        gathered = np.take_along_axis(ext_vals, np.maximum(anchor, 0), axis=1)
-        source = np.where(
-            np.isfinite(gathered), gathered, self.fallback[:, None]
-        )
-        repaired = np.where(
-            flags & np.isfinite(source[:, 1:]), source[:, 1:], values
-        )
-        self.last_good = gathered[:, -1]
+        # Index 0 holds the carried last_good, t + 1 block column t.  A
+        # flagged column never refreshes, so its gathered value is the
+        # last clean one strictly before it.
+        history = np.concatenate([self.last_good[:, None], values], axis=1)
+        last_good = history.take(_row_starts(history) + _refreshes(flags, 0))
+        # A non-finite anchor (none yet, or a clean NaN reading) degrades
+        # to the fallback; a NaN fallback passes the raw value through.
+        source = np.where(np.isfinite(last_good), last_good, self.fallback[:, None])
+        repaired = np.where(flags & np.isfinite(source), source, values)
+        self.last_good = last_good[:, -1]
         return repaired
 
     def state_dict(self) -> StateDict:
@@ -272,52 +271,23 @@ class CausalLinearMitigator(StreamingMitigator):
         self.prev_good = np.full(self.n_stations, np.nan, dtype=np.float64)
         self._run_length = np.zeros(self.n_stations, dtype=np.int64)
 
-    def mitigate(self, values: np.ndarray, flags: np.ndarray) -> np.ndarray:
-        values, flags = self._check(values, flags)
-        self._run_length = np.where(flags, self._run_length + 1, 0)
-        slope = np.where(
-            np.isfinite(self.prev_good), self.last_good - self.prev_good, 0.0
-        )
-        steps = np.minimum(self._run_length, self.max_slope_ticks)
-        extrapolated = self.last_good + slope * steps
-        source = np.where(
-            np.isfinite(self.last_good),
-            np.maximum(extrapolated, 0.0),
-            self.fallback,
-        )
-        repaired = np.where(flags & np.isfinite(source), source, values)
-        clean = ~flags
-        self.prev_good[clean] = self.last_good[clean]
-        self.last_good[clean] = values[clean]
-        return repaired
-
     def mitigate_block(self, values: np.ndarray, flags: np.ndarray) -> np.ndarray:
         values, flags = self._check_block(values, flags)
-        n, block = values.shape
-        # Extended position 0 is the pre-block state; it always anchors
-        # (carry_clean), so `anchor` is "last state refresh at or before
-        # u" and never -1.
-        ext_vals, anchor = _anchored(values, ~flags, self.last_good, carry_clean=True)
-        positions = np.arange(block + 1)[None, :]
-        # Consecutive-flag run length at u, continuing a carried-in run
-        # when nothing in the block has been clean yet.
-        run = positions - anchor + np.where(anchor == 0, self._run_length[:, None], 0)
-        last_good = np.take_along_axis(ext_vals, anchor, axis=1)
-        # prev_good at u: the clean value preceding anchor[u] (the carry
-        # pair when the anchor is still the pre-block state).
-        prev_anchor = np.take_along_axis(anchor, np.maximum(anchor - 1, 0), axis=1)
-        prev_good = np.where(
-            anchor == 0,
-            self.prev_good[:, None],
-            np.take_along_axis(ext_vals, prev_anchor, axis=1),
-        )
+        # The carried state refreshed -run_length positions ago, so
+        # `run` continues a carried-in flagged run.
+        at = _refreshes(flags, -self._run_length[:, None])
+        run = np.arange(1, values.shape[1] + 1) - at
+        # Index 0 holds prev_good, 1 last_good, t + 2 block column t: the
+        # good value of a refresh at `a` sits at a + 1, its predecessor at a.
+        carried = [self.prev_good[:, None], self.last_good[:, None]]
+        history = np.concatenate(carried + [values], axis=1)
+        refresh = _row_starts(history) + np.maximum(at, 0)
+        last_good = history.take(refresh + 1)
+        prev_good = np.concatenate(carried + [last_good], axis=1).take(refresh)
         slope = np.where(np.isfinite(prev_good), last_good - prev_good, 0.0)
-        steps = np.minimum(run, self.max_slope_ticks)
-        extrapolated = last_good + slope * steps
+        extrapolated = last_good + slope * np.minimum(run, self.max_slope_ticks)
         source = np.where(
-            np.isfinite(last_good[:, 1:]),
-            np.maximum(extrapolated[:, 1:], 0.0),
-            self.fallback[:, None],
+            np.isfinite(last_good), np.maximum(extrapolated, 0.0), self.fallback[:, None]
         )
         repaired = np.where(flags & np.isfinite(source), source, values)
         self._run_length = run[:, -1].copy()
@@ -401,19 +371,13 @@ class SeasonalHoldMitigator(StreamingMitigator):
             self._fallback.fallback = self.fallback
         return self
 
-    def mitigate(self, values: np.ndarray, flags: np.ndarray) -> np.ndarray:
-        values, flags = self._check(values, flags)
-        repaired = self._repair_chunk(values[:, None], flags[:, None])[:, 0]
-        self._history.push(repaired)
-        return repaired
-
     def mitigate_block(self, values: np.ndarray, flags: np.ndarray) -> np.ndarray:
         """Block repair, chunked so in-block seasonality stays exact.
 
         A block longer than one period would need repaired values from
         *inside itself* as seasonal sources; processing in chunks of at
         most ``period`` columns keeps every source in committed history,
-        so the result matches tick-by-tick replay for any ``B``.
+        so the result matches one-tick-at-a-time replay for any ``B``.
         """
         values, flags = self._check_block(values, flags)
         repaired = np.empty_like(values)

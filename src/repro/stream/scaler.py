@@ -177,27 +177,14 @@ class StreamingMinMaxScaler:
     def ingest_tick_checked(self, values: np.ndarray, stations: np.ndarray) -> np.ndarray:
         """Fold one pre-validated tick into the bounds and scale it.
 
-        One fused ``partial_fit`` + ``transform`` with the block path's
-        ordering guarantee: an unscalable tick (a NaN reading) raises
-        BEFORE anything is committed, so a bad sensor value never poisons
-        the persistent bounds — bit-identical to the sequential pair for
-        every finite input.  (The scaler itself never accepts NaN; a
-        detector running ``missing="impute"`` filters missing readings
-        out before they reach this method.)
+        The one-column view of the block ingestion pair: transform under
+        the running bounds, then commit them — so an unscalable tick (a
+        NaN reading) raises BEFORE anything is committed.
         """
-        if self.frozen:
-            return self.transform_checked(values, stations)
-        new_min = np.minimum(self.data_min_[stations], values)
-        new_max = np.maximum(self.data_max_[stations], values)
-        span = new_max - new_min
-        if not np.all(np.isfinite(span)):
-            raise RuntimeError(
-                "transform before any observation for some stations; "
-                "partial_fit first (or build via from_bounds)"
-            )
-        self.data_min_[stations] = new_min
-        self.data_max_[stations] = new_max
-        return self._scale(values, new_min, span)
+        column = values[:, None]
+        scaled = self.transform_block_checked(column, stations)
+        self.partial_fit_block_checked(column, stations)
+        return scaled[:, 0]
 
     def transform(self, values: np.ndarray, stations: np.ndarray | None = None) -> np.ndarray:
         """Scale one tick of readings into the feature range."""
@@ -272,7 +259,7 @@ class StreamingMinMaxScaler:
         if present is not None:
             finite |= ~present
         if not np.all(finite):
-            # Same failure the tick path raises for (a NaN reading, or
+            # Same failure transform() raises for (a NaN reading, or
             # nothing observed and nothing in the block) — without this a
             # NaN would silently scale to NaN instead of erroring.
             raise RuntimeError(
@@ -313,10 +300,10 @@ class StreamingMinMaxScaler:
     def _scale(
         self, values: np.ndarray, data_min: np.ndarray, span: np.ndarray
     ) -> np.ndarray:
-        safe_span = np.where(span == 0.0, 1.0, span)
+        constant = span == 0.0
         low, high = self.feature_range
-        scaled = (values - data_min) / safe_span * (high - low) + low
-        return np.where(span == 0.0, low, scaled)
+        scaled = (values - data_min) / np.where(constant, 1.0, span) * (high - low) + low
+        return np.where(constant, low, scaled)
 
     def inverse_transform(
         self, values: np.ndarray, stations: np.ndarray | None = None

@@ -11,8 +11,7 @@ the parity foundation the whole shard layer rests on.
 Wire protocol (parent → worker, one tuple per request)::
 
     ("init", payload)           build the pipeline; reply ("ready", snapshot?)
-    ("block", values)           step an (n_local, B) block
-    ("tick", values)            step an (n_local,) tick
+    ("block", values)           step an (n_local, B) block (a tick is B = 1)
     ("add", n, thr, dmin, dmax) grow the shard at the local tail
     ("drop", local_indices)     shrink the shard
     ("state",)                  snapshot detector/mitigator state
@@ -110,8 +109,6 @@ def worker_main(conn) -> None:
         try:
             if op == "block":
                 reply = engine.step_block(msg[1])
-            elif op == "tick":
-                reply = engine.step_tick(msg[1])
             elif op == "add":
                 _, n_new, thresholds, data_min, data_max = msg
                 engine.add_stations(

@@ -19,8 +19,11 @@ fleet.
 :func:`save_sharded_checkpoint` defaults to **delta** saves: only
 shards mutated since they were last written (``engine`` tracks dirty
 shards by its failover journal) are rewritten; clean member files are
-left byte-for-byte untouched — the manifest is rewritten every save,
-atomically, so a reader never observes a half-updated checkpoint.
+left byte-for-byte untouched — the manifest is rewritten every save.
+Every file is replaced crash-consistently
+(:func:`repro.stream.checkpoint.write_atomic`), so a reader never
+observes a half-written file, and the manifest's size + checksum table
+rejects a directory whose save died between two member files.
 Saving also refreshes the engine's failover snapshots, truncating the
 gap-replay journal.
 
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 import warnings
 from pathlib import Path
@@ -78,17 +80,14 @@ def _shard_meta(engine: ShardedFleetEngine, shard: int) -> dict:
 
 
 def _write_shard(path: Path, engine: ShardedFleetEngine, shard: int) -> dict:
-    """Fetch, serialize, and fsync-write one shard's state; return state."""
+    """Fetch, serialize, and crash-consistently write one shard's state; return it."""
     state = engine.shard_state(shard)
     arrays = {"meta": np.asarray(json.dumps(_shard_meta(engine, shard)))}
     arrays["members"] = engine._members[shard].copy()
     arrays |= nest("detector", state["detector"])
     if state["mitigator"] is not None:
         arrays |= nest("mitigator", state["mitigator"])
-    # Tmp names keep the .npz suffix — np.savez appends one otherwise.
-    tmp = path.with_name(path.stem + ".tmp.npz")
-    np.savez(tmp, **arrays)
-    os.replace(tmp, path)
+    ckpt.write_atomic(path, lambda fh: np.savez(fh, **arrays))
     return state
 
 
@@ -128,9 +127,7 @@ def save_sharded_checkpoint(
             )
         }
         arrays |= {f"model.w{i}": w for i, w in enumerate(engine._weights)}
-        tmp = model_file.with_name("model.tmp.npz")
-        np.savez(tmp, **arrays)
-        os.replace(tmp, model_file)
+        ckpt.write_atomic(model_file, lambda fh: np.savez(fh, **arrays))
 
     entries = []
     written = 0
@@ -155,9 +152,8 @@ def save_sharded_checkpoint(
     extra_file = None
     if extra:
         extra_file = "extra.npz"
-        tmp = path / "extra.tmp.npz"
-        np.savez(tmp, **{k: np.asarray(v) for k, v in extra.items()})
-        os.replace(tmp, path / extra_file)
+        extra_arrays = {k: np.asarray(v) for k, v in extra.items()}
+        ckpt.write_atomic(path / extra_file, lambda fh: np.savez(fh, **extra_arrays))
 
     pipeline = json.loads(json.dumps(engine._meta))
     pipeline["detector"]["n_stations"] = int(engine.n_stations)
@@ -174,12 +170,12 @@ def save_sharded_checkpoint(
         "extra_file": extra_file,
         "shards": entries,
     }
-    # The manifest commits the checkpoint: members are written first,
-    # then the manifest replaces atomically, so a crash mid-save leaves
-    # the previous manifest describing the previous (complete) state.
-    tmp = path / (MANIFEST_NAME + ".tmp")
-    tmp.write_text(json.dumps(manifest, indent=2) + "\n")
-    os.replace(tmp, path / MANIFEST_NAME)
+    # The manifest commits the checkpoint: every file is replaced
+    # atomically and the manifest last.  A crash before the first member
+    # is replaced leaves the previous checkpoint intact; after it, the
+    # previous manifest's checksums reject the mixed directory at load.
+    text = json.dumps(manifest, indent=2) + "\n"
+    ckpt.write_atomic(path / MANIFEST_NAME, lambda fh: fh.write(text.encode()))
     if reg.enabled:
         reg.histogram(
             "repro_shard_checkpoint_save_seconds",

@@ -46,7 +46,7 @@ import numpy as np
 
 from repro import obs
 from repro.stream import checkpoint as ckpt
-from repro.stream.detector import BlockResult, StreamingDetector, TickResult
+from repro.stream.detector import StreamingDetector
 from repro.stream.engine import ReplayDriver, StreamReplayEngine
 from repro.stream.shard._shm import publish_weights
 from repro.stream.shard._worker import worker_main
@@ -304,37 +304,12 @@ class ShardedFleetEngine(ReplayDriver):
         """Ticks processed so far (mirrors ``detector.tick`` fleet-wide)."""
         return self._tick
 
-    def _step_tick(self, values: np.ndarray, reg) -> tuple:
-        flags, scores, missing, mitigated = self._scatter_gather("tick", values, reg)
-        result = TickResult(
-            tick=self._tick,
-            scored=~np.isnan(scores),
-            scores=scores,
-            flags=flags,
-            missing=missing,
-        )
-        self._tick += 1
-        return result, mitigated
-
     def _step_block(self, values: np.ndarray, reg) -> tuple:
-        flags, scores, missing, mitigated = self._scatter_gather("block", values, reg)
-        result = BlockResult(
-            first_tick=self._tick,
-            scored=~np.isnan(scores),
-            scores=scores,
-            flags=flags,
-            missing=missing,
-        )
-        self._tick += int(values.shape[1])
-        return result, mitigated
-
-    def _scatter_gather(self, op: str, values: np.ndarray, reg):
-        """Route one tick/block through the workers and reassemble."""
-        enabled = reg.enabled
+        """Route one block through the workers and reassemble."""
         shape = values.shape
         with reg.span("repro_shard_scatter"):
             for s in range(self.n_shards):
-                self._dispatch(s, (op, values[self._members[s]]))
+                self._dispatch(s, ("block", values[self._members[s]]))
         flags = np.zeros(shape, dtype=bool)
         scores = np.full(shape, np.nan, dtype=np.float64)
         missing = np.zeros(shape, dtype=bool)
@@ -356,14 +331,14 @@ class ShardedFleetEngine(ReplayDriver):
                 mitigated[members] = s_mitigated
         if errors:
             raise errors[0]
-        if enabled:
-            n_cols = 1 if values.ndim == 1 else int(values.shape[1])
+        self._tick += int(shape[1])
+        if reg.enabled:
             for s in range(self.n_shards):
                 reg.counter(
                     "repro_shard_readings_total",
                     help="Readings routed through each shard worker.",
                     labels={"shard": str(s)},
-                ).inc(int(self._members[s].size) * n_cols)
+                ).inc(int(self._members[s].size) * int(shape[1]))
                 reg.gauge(
                     "repro_shard_journal_depth",
                     help="Mutating commands journaled since the shard's "

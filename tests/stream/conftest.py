@@ -12,6 +12,8 @@ coverage in ``tests/stream/test_stream_parity.py``) and is the size
 regime the shard-parity contract is stated for.
 """
 
+import io
+
 import numpy as np
 import pytest
 
@@ -55,3 +57,16 @@ def build_fleet_engine(
     )
     detector.calibrate(fleet)
     return StreamReplayEngine(detector, mitigator=mitigator)
+
+
+def savez_killed_halfway(monkeypatch) -> None:
+    """Make ``np.savez`` write half an archive, then fail like a kill."""
+    real_savez = np.savez
+
+    def killed(file, **arrays):
+        buffer = io.BytesIO()
+        real_savez(buffer, **arrays)
+        file.write(buffer.getvalue()[: buffer.tell() // 2])
+        raise OSError("killed mid-save")
+
+    monkeypatch.setattr(np, "savez", killed)

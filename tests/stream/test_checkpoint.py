@@ -23,6 +23,8 @@ from repro.stream.mitigation import (
 from repro.stream.quantile import P2QuantileBank
 from repro.stream.scaler import StreamingMinMaxScaler
 
+from .conftest import savez_killed_halfway
+
 
 @pytest.fixture(scope="module")
 def small_autoencoder():
@@ -441,3 +443,24 @@ class TestCorruptArchives:
         np.savez(mangled, meta=np.asarray("{not json"))
         with pytest.raises(CheckpointError, match="meta"):
             load_checkpoint(mangled)
+
+
+class TestCrashConsistentSave:
+    def test_failed_save_leaves_previous_checkpoint_intact(
+        self, small_autoencoder, tmp_path, monkeypatch
+    ):
+        fleet = synthesize_fleet(3, 24, seed=52)
+        engine = _pipeline(small_autoencoder, fleet, "causal_linear", 0.01)
+        engine.run(fleet[:, :12], block_size=4)
+        path = save_checkpoint(tmp_path / "live", engine)
+        saved = path.read_bytes()
+        engine.run(fleet[:, 12:], block_size=4)
+
+        savez_killed_halfway(monkeypatch)
+        with pytest.raises(OSError, match="killed mid-save"):
+            save_checkpoint(path, engine)
+        monkeypatch.undo()
+
+        assert path.read_bytes() == saved
+        assert [entry.name for entry in tmp_path.iterdir()] == [path.name]
+        assert load_checkpoint(path).detector.tick == 12

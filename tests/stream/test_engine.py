@@ -334,16 +334,16 @@ class TestInterruptedRun:
 
         fleet = synthesize_fleet(2, 20, seed=44)
         engine = StreamReplayEngine(_make_detector(small_autoencoder, fleet))
-        original = engine.detector.process_tick
+        original = engine.detector.process_block
         calls = {"n": 0}
 
-        def flaky(values):
+        def flaky(values, stations=None):
             if calls["n"] == 7:
                 raise RuntimeError("inference backend fell over")
             calls["n"] += 1
-            return original(values)
+            return original(values, stations)
 
-        monkeypatch.setattr(engine.detector, "process_tick", flaky)
+        monkeypatch.setattr(engine.detector, "process_block", flaky)
         with pytest.raises(StreamInterrupted) as excinfo:
             engine.run(fleet)
         report = excinfo.value.report

@@ -14,7 +14,7 @@ from repro.stream.shard import (
     save_sharded_checkpoint,
 )
 
-from .conftest import build_fleet_engine
+from .conftest import build_fleet_engine, savez_killed_halfway
 
 N_STATIONS = 9
 
@@ -106,6 +106,26 @@ class TestRoundTrip:
 
 
 class TestDeltaSaves:
+    def test_failed_member_write_leaves_previous_checkpoint_intact(
+        self, tmp_path, shard_autoencoder, train_fleet, live_fleet, monkeypatch
+    ):
+        ckpt_dir = tmp_path / "ckpt"
+        with ShardedFleetEngine(
+            build_fleet_engine(shard_autoencoder, train_fleet), 3
+        ) as engine:
+            engine.step_block(live_fleet[:, :4])
+            save_sharded_checkpoint(ckpt_dir, engine)
+            saved = {f.name: f.read_bytes() for f in ckpt_dir.iterdir()}
+            engine.step_block(live_fleet[:, 4:8])
+            savez_killed_halfway(monkeypatch)
+            with pytest.raises(OSError, match="killed mid-save"):
+                save_sharded_checkpoint(ckpt_dir, engine)
+            monkeypatch.undo()
+        assert {f.name: f.read_bytes() for f in ckpt_dir.iterdir()} == saved
+        restored, _extra = load_sharded_checkpoint(ckpt_dir)
+        with restored:
+            assert restored.tick == 4
+
     def test_idle_resave_leaves_members_untouched(
         self, tmp_path, shard_autoencoder, train_fleet, live_fleet
     ):

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.stream.engine import StreamReplayEngine, synthesize_fleet
 from repro.stream.mitigation import (
     CausalLinearMitigator,
     HoldLastGoodMitigator,
     SeasonalHoldMitigator,
+    StreamingMitigator,
     get,
 )
+
+from .conftest import build_fleet_engine
 
 
 def _replay(mitigator, values, flags):
@@ -159,3 +163,45 @@ class TestRegistry:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="values/flags"):
             HoldLastGoodMitigator(2).mitigate(np.zeros(3), np.zeros(3, dtype=bool))
+
+
+class _BlockOnly(StreamingMitigator):
+    """A custom policy written against the block contract only."""
+
+    def mitigate_block(self, values, flags):
+        values, flags = self._check_block(values, flags)
+        return np.where(flags, -1.0, values)
+
+
+class TestExtensionContract:
+    """A policy overrides ``mitigate_block`` or ``mitigate``; the base
+    class derives the other (overriding only ``mitigate`` is covered in
+    test_stream_block.py and test_checkpoint.py)."""
+
+    def test_block_only_policy_serves_single_ticks(self):
+        repaired = _BlockOnly(2).mitigate(np.array([1.0, 2.0]), np.array([True, False]))
+        np.testing.assert_array_equal(repaired, [-1.0, 2.0])
+
+    def test_block_only_policy_runs_through_step_tick_and_run(self, shard_autoencoder):
+        fleet = synthesize_fleet(3, 30, seed=12, dropout_rate=0.05)
+        detector = build_fleet_engine(shard_autoencoder, fleet, mitigator=None).detector
+        report = StreamReplayEngine(detector, _BlockOnly(3)).run(fleet, block_size=1)
+        repair = report.flags | report.missing
+        assert repair.any()
+        np.testing.assert_array_equal(report.mitigated, np.where(repair, -1.0, fleet))
+
+        detector = build_fleet_engine(shard_autoencoder, fleet, mitigator=None).detector
+        engine = StreamReplayEngine(detector, _BlockOnly(3))
+        for t in range(fleet.shape[1]):
+            _flags, _scores, _missing, mitigated = engine.step_tick(fleet[:, t])
+            np.testing.assert_array_equal(mitigated, report.mitigated[:, t])
+
+    def test_policy_overriding_neither_method_raises_clearly(self):
+        class Incomplete(StreamingMitigator):
+            pass
+
+        policy = Incomplete(2)
+        with pytest.raises(NotImplementedError, match="Incomplete must override"):
+            policy.mitigate(np.zeros(2), np.zeros(2, dtype=bool))
+        with pytest.raises(NotImplementedError, match="Incomplete must override"):
+            policy.mitigate_block(np.zeros((2, 3)), np.zeros((2, 3), dtype=bool))
