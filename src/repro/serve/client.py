@@ -34,6 +34,7 @@ import time
 import numpy as np
 
 from repro.serve.protocol import (
+    ACK_BY_CODE,
     MAX_BATCH_RECORDS,
     PROTOCOL_VERSIONS,
     SEQ_MOD,
@@ -55,6 +56,13 @@ from repro.serve.protocol import (
     unpack_control_ack,
     unpack_welcome,
 )
+
+
+def _column(values, kind: type, n: int) -> list:
+    """``values`` (a scalar or an array) broadcast to ``n`` ``kind`` entries."""
+    if np.isscalar(values):
+        return [kind(values)] * n
+    return np.broadcast_to(np.asarray(values, dtype=kind), (n,)).tolist()
 
 
 class DeliveryError(RuntimeError):
@@ -270,18 +278,13 @@ class IngestClient:
     async def send(
         self, station: int, seq: int, reading: float, timestamp: float | None = None
     ) -> None:
-        """File one reading for delivery (returns before it is acked)."""
-        key = (station, seq % SEQ_MOD)
-        if key in self.ack_log or key in self._unacked:
-            return  # idempotent: already terminal or already queued
-        # The wire timestamp is the payload, not hidden state.
-        stamp = time.time() if timestamp is None else timestamp  # reprolint: disable=RPR004
-        self._unacked[key] = _PendingSend(
-            station, key[1], stamp, reading, time.perf_counter()
-        )
-        await self._pump()
-        while len(self._unacked) >= self.max_inflight:
-            await self._pump()
+        """File one reading for delivery (returns before it is acked).
+
+        A one-reading :meth:`send_block`: same idempotence, same quota.
+        A lone due reading goes out as a DATA frame on either protocol
+        version, so it is acked by ACK, or refused by BUSY.
+        """
+        await self.send_block([station], seq, reading, timestamp)
 
     async def send_block(
         self,
@@ -296,20 +299,21 @@ class IngestClient:
         broadcast against it (the common call sends one tick: all
         stations, one seq).  Filing happens in chunks small enough to
         respect the server's inflight quota and per-frame batch budget;
-        like :meth:`send`, already-filed or already-acked readings are
-        skipped (idempotent).  On a v1 session the readings simply go
-        out as per-reading DATA frames — same delivery contract.
+        already-filed or already-acked readings are skipped
+        (idempotent).  On a v1 session the readings simply go out as
+        per-reading DATA frames — same delivery contract.
         """
         stations = np.asarray(stations, dtype=np.int64)
         if stations.ndim != 1:
             raise ValueError("stations must be 1-D")
         n = stations.size
-        seqs = np.broadcast_to(np.asarray(seqs, dtype=np.int64), stations.shape)
-        readings = np.broadcast_to(np.asarray(readings, dtype=np.float64), stations.shape)
         if timestamps is None:
             timestamps = time.time()  # reprolint: disable=RPR004 — wire payload
-        timestamps = np.broadcast_to(
-            np.asarray(timestamps, dtype=np.float64), stations.shape
+        stations = stations.tolist()
+        seqs, timestamps, readings = (
+            _column(seqs, int, n),
+            _column(timestamps, float, n),
+            _column(readings, float, n),
         )
         chunk = max(1, min(self.max_batch, self.max_inflight))
         for start in range(0, n, chunk):
@@ -319,13 +323,18 @@ class IngestClient:
             while len(self._unacked) + (stop - start) > self.max_inflight:
                 await self._pump()
             now = time.perf_counter()
-            for i in range(start, stop):
-                key = (int(stations[i]), int(seqs[i]) % SEQ_MOD)
+            rows = zip(
+                stations[start:stop],
+                seqs[start:stop],
+                timestamps[start:stop],
+                readings[start:stop],
+                strict=True,
+            )
+            for station, seq, stamp, reading in rows:
+                key = (station, seq % SEQ_MOD)
                 if key in self.ack_log or key in self._unacked:
                     continue
-                self._unacked[key] = _PendingSend(
-                    key[0], key[1], float(timestamps[i]), float(readings[i]), now
-                )
+                self._unacked[key] = _PendingSend(station, key[1], stamp, reading, now)
             await self._pump()
 
     async def drain(self, timeout: float = 30.0) -> None:
@@ -404,48 +413,45 @@ class IngestClient:
             self._connected = False  # next pump re-dials and resends
 
     def _on_frame(self, ftype: FrameType, body: bytes) -> None:
+        retry_after = None
         if ftype is FrameType.ACK:
             station, seq, status = unpack_ack(body)
-            key = (station, seq)
-            self._unacked.pop(key, None)
-            self.ack_log.setdefault(key, status)
-        elif ftype is FrameType.BATCH_ACK:
-            stations, seqs, statuses = unpack_batch_ack(body)
-            now = time.perf_counter()
-            for station, seq, status in zip(
-                stations.tolist(), seqs.tolist(), statuses.tolist(), strict=True
-            ):
-                if status == AckStatus.BUSY:
-                    self.busy_count += 1
-                    pending = self._unacked.get((station, seq))
-                    if pending is not None:
-                        pending.due = now + self._backoff(max(1, pending.attempts))
-                else:
-                    key = (station, seq)
-                    self._unacked.pop(key, None)
-                    self.ack_log.setdefault(key, AckStatus(status))
+            stations, seqs, statuses = [station], [seq], [status]
         elif ftype is FrameType.BUSY:
             station, seq, retry_after = unpack_busy(body)
-            self.busy_count += 1
-            pending = self._unacked.get((station, seq))
-            if pending is not None:
-                # Backpressure costs backoff, not a retry attempt.  A
-                # retry-after hint is the token bucket's actual refill
-                # time; jitter only stretches it so a fleet of limited
-                # clients does not return in lockstep.
-                if retry_after is not None:
-                    delay = retry_after * (1.0 + 0.5 * float(self._rng.random()))
-                else:
-                    delay = self._backoff(max(1, pending.attempts))
-                pending.due = time.perf_counter() + delay
+            stations, seqs, statuses = [station], [seq], [AckStatus.BUSY]
+        elif ftype is FrameType.BATCH_ACK:
+            stations, seqs, statuses = (a.tolist() for a in unpack_batch_ack(body))
         elif ftype is FrameType.CONTROL_ACK:
             ack = unpack_control_ack(body)
-            self._control_acks[int(ack.get("cid", 0))] = ack
+            self._control_acks[ack["cid"]] = ack
+            return
         elif ftype is FrameType.BYE:
             raise ConnectionError("server said BYE")
         elif ftype is FrameType.ERROR:
             raise ConnectionError(f"server error: {body.decode(errors='replace')}")
-        # CORRUPT or unexpected types: drop; retransmission recovers.
+        else:
+            return  # CORRUPT or unexpected types: drop; retransmission recovers.
+        now = time.perf_counter()
+        for station, seq, status in zip(stations, seqs, statuses, strict=True):
+            key = (station, seq)
+            if status != AckStatus.BUSY:
+                self._unacked.pop(key, None)
+                self.ack_log.setdefault(key, ACK_BY_CODE[status])
+                continue
+            self.busy_count += 1
+            pending = self._unacked.get(key)
+            if pending is None:
+                continue
+            # Backpressure costs backoff, not a retry attempt.  A
+            # retry-after hint is the token bucket's actual refill time;
+            # jitter only stretches it so a fleet of limited clients does
+            # not return in lockstep.
+            if retry_after is not None:
+                delay = retry_after * (1.0 + 0.5 * float(self._rng.random()))
+            else:
+                delay = self._backoff(max(1, pending.attempts))
+            pending.due = now + delay
 
     # ------------------------------------------------------------------
     # control plane (v2)

@@ -67,7 +67,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 import json
-import math
 import struct
 import zlib
 from enum import IntEnum
@@ -89,6 +88,7 @@ MAX_FRAME_BODY = 4096
 #: types allowed past :data:`MAX_FRAME_BODY`.
 MAX_BATCH_BODY = 65536
 _HEADER = struct.Struct(">BI")  # magic, length
+_CRC = struct.Struct(">I")
 _DATA = struct.Struct(">IIdd")  # station, seq, timestamp, reading
 _ACK = struct.Struct(">IIB")  # station, seq, status
 _BUSY = struct.Struct(">II")  # station, seq
@@ -129,6 +129,8 @@ class FrameType(IntEnum):
 
 #: The only frame types whose body may exceed :data:`MAX_FRAME_BODY`.
 _BATCH_TYPES = (FrameType.BATCH_DATA, FrameType.BATCH_ACK)
+#: Type byte -> frame type (a dict lookup is far cheaper than the Enum call).
+_FRAME_TYPES = {int(t): t for t in FrameType}
 
 
 class AckStatus(IntEnum):
@@ -140,6 +142,10 @@ class AckStatus(IntEnum):
     BUSY = 3
 
 
+#: :class:`AckStatus` members indexed by their wire code.
+ACK_BY_CODE = tuple(AckStatus)
+
+
 def encode_frame(ftype: FrameType, body: bytes = b"") -> bytes:
     """Serialize one frame (magic + length + type + body + CRC)."""
     limit = MAX_BATCH_BODY if ftype in _BATCH_TYPES else MAX_FRAME_BODY
@@ -147,7 +153,7 @@ def encode_frame(ftype: FrameType, body: bytes = b"") -> bytes:
         raise ProtocolError(f"frame body of {len(body)} bytes exceeds {limit}")
     payload = bytes([ftype]) + body
     crc = zlib.crc32(payload) & 0xFFFFFFFF
-    return _HEADER.pack(MAGIC, len(payload) + 4) + payload + struct.pack(">I", crc)
+    return _HEADER.pack(MAGIC, len(payload) + 4) + payload + _CRC.pack(crc)
 
 
 class FrameDecoder:
@@ -186,22 +192,15 @@ class FrameDecoder:
             if len(self._buf) < end:
                 break
             payload = bytes(self._buf[_HEADER.size : end - 4])
-            (crc,) = struct.unpack_from(">I", self._buf, end - 4)
+            (crc,) = _CRC.unpack_from(self._buf, end - 4)
             del self._buf[:end]
-            if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-                frames.append((FrameType.CORRUPT, b""))
-                continue
-            try:
-                ftype = FrameType(payload[0])
-            except ValueError:
-                # Unknown-but-well-framed type: corrupt payload, framing
-                # intact. Skip it; the sender's resend recovers.
-                frames.append((FrameType.CORRUPT, b""))
-                continue
-            if ftype is FrameType.CORRUPT:
-                frames.append((FrameType.CORRUPT, b""))
-                continue
-            frames.append((ftype, payload[1:]))
+            # A CRC failure, an unknown-but-well-framed type, or the
+            # CORRUPT sentinel itself: corrupt payload, framing intact.
+            # Skip it; the sender's resend recovers.
+            ftype = FrameType.CORRUPT
+            if zlib.crc32(payload) & 0xFFFFFFFF == crc:
+                ftype = _FRAME_TYPES.get(payload[0], FrameType.CORRUPT)
+            frames.append((ftype, b"" if ftype is FrameType.CORRUPT else payload[1:]))
         return frames
 
 
@@ -225,7 +224,9 @@ def unpack_ack(body: bytes) -> tuple[int, int, AckStatus]:
     if len(body) != _ACK.size:
         raise ProtocolError(f"ACK body must be {_ACK.size} bytes, got {len(body)}")
     station, seq, status = _ACK.unpack(body)
-    return station, seq, AckStatus(status)
+    if status >= len(ACK_BY_CODE):
+        raise ProtocolError(f"ACK carries unknown status {status}")
+    return station, seq, ACK_BY_CODE[status]
 
 
 def pack_busy(station: int, seq: int, retry_after: float | None = None) -> bytes:
@@ -329,6 +330,8 @@ def unpack_batch_ack(body: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"positive multiple of {BATCH_ACK_DTYPE.itemsize} bytes, got {len(body)}"
         )
     records = np.frombuffer(body, dtype=BATCH_ACK_DTYPE)
+    if int(records["status"].max()) >= len(ACK_BY_CODE):
+        raise ProtocolError("BATCH_ACK carries an unknown status")
     return (
         records["station"].astype(np.int64),
         records["seq"].astype(np.int64),
@@ -373,14 +376,28 @@ def pack_hello(client_id: str, token: str = "", versions=None) -> bytes:
     return encode_frame(FrameType.HELLO, body)
 
 
-def unpack_hello(body: bytes) -> dict:
+def _unpack_json(body: bytes, what: str, required: str | None = None) -> dict:
+    """Decode a JSON-object body; anything else is a :class:`ProtocolError`."""
     try:
-        hello = json.loads(body.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"malformed HELLO body: {exc}") from exc
-    if not isinstance(hello, dict) or "client_id" not in hello:
-        raise ProtocolError("HELLO body must be a JSON object with client_id")
-    return hello
+        payload = json.loads(body.decode())
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, absurd nesting
+        raise ProtocolError(f"malformed {what} body: {exc}") from exc
+    if not isinstance(payload, dict) or (required is not None and required not in payload):
+        suffix = f" with {required}" if required is not None else ""
+        raise ProtocolError(f"{what} body must be a JSON object{suffix}")
+    return payload
+
+
+def _checked_cid(payload: dict, what: str) -> dict:
+    """Default a control payload's ``cid`` to 0; a non-integer is a :class:`ProtocolError`."""
+    cid = payload.setdefault("cid", 0)
+    if type(cid) is not int:
+        raise ProtocolError(f"{what} cid must be an integer, got {cid!r}")
+    return payload
+
+
+def unpack_hello(body: bytes) -> dict:
+    return _unpack_json(body, "HELLO", "client_id")
 
 
 def negotiate_version(hello: dict) -> int:
@@ -422,13 +439,7 @@ def pack_welcome(
 
 
 def unpack_welcome(body: bytes) -> dict:
-    try:
-        welcome = json.loads(body.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"malformed WELCOME body: {exc}") from exc
-    if not isinstance(welcome, dict) or "max_inflight" not in welcome:
-        raise ProtocolError("WELCOME body must be a JSON object with max_inflight")
-    return welcome
+    return _unpack_json(body, "WELCOME", "max_inflight")
 
 
 def pack_error(message: str) -> bytes:
@@ -480,13 +491,7 @@ def pack_drop_stations(stations, *, token: str = "", cid: int = 0) -> bytes:
 
 def unpack_control(body: bytes) -> dict:
     """Decode an ADD_STATIONS/DROP_STATIONS body (shared JSON shape)."""
-    try:
-        payload = json.loads(body.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"malformed control body: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ProtocolError("control body must be a JSON object")
-    return payload
+    return _checked_cid(_unpack_json(body, "control"), "control")
 
 
 def pack_control_ack(
@@ -508,15 +513,4 @@ def pack_control_ack(
 
 
 def unpack_control_ack(body: bytes) -> dict:
-    try:
-        ack = json.loads(body.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"malformed CONTROL_ACK body: {exc}") from exc
-    if not isinstance(ack, dict) or "ok" not in ack:
-        raise ProtocolError("CONTROL_ACK body must be a JSON object with ok")
-    return ack
-
-
-def is_missing(reading: float) -> bool:
-    """NaN readings are explicit missing-data markers on the wire."""
-    return math.isnan(reading)
+    return _checked_cid(_unpack_json(body, "CONTROL_ACK", "ok"), "CONTROL_ACK")

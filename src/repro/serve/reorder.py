@@ -51,9 +51,11 @@ class Offer(Enum):
 
 
 #: Dense uint8 encoding of :class:`Offer` for the vectorized batch path:
-#: ``offer_block`` returns codes indexing this tuple.
+#: ``offer_block`` returns codes indexing this tuple.  Each code equals
+#: the :class:`~repro.serve.protocol.AckStatus` the sender is answered
+#: with (OK, DUPLICATE, LATE, BUSY), so the server acks codes as they are.
 OFFER_BY_CODE = (Offer.ACCEPTED, Offer.DUPLICATE, Offer.LATE, Offer.OVERFLOW)
-_CODE = {offer: np.uint8(i) for i, offer in enumerate(OFFER_BY_CODE)}
+_CODE = {offer: i for i, offer in enumerate(OFFER_BY_CODE)}
 
 
 class _Pending:
@@ -133,7 +135,7 @@ class ReorderBuffer:
         their original tick across a u32 wrap instead of landing one
         full period in the future.
         """
-        ref = self.last_seen[station]
+        ref = int(self.last_seen[station])
         if ref < 0:
             ref = self.next_emit
         delta = (raw_seq - ref) % SEQ_MOD
@@ -186,7 +188,9 @@ class ReorderBuffer:
         watermark, dedup, and filing steps run vectorized per *tick
         group* instead of per reading.  When the batch mentions the same
         station twice, later entries depend on how earlier ones filed
-        (unwrap reference, dedup), so such batches take the scalar path.
+        (unwrap reference, dedup), so such batches take the scalar path;
+        so does a one-record batch (every v1 DATA frame), for which the
+        vectorized steps are pure fixed overhead.
         """
         stations = np.asarray(stations, dtype=np.int64)
         raw_seqs = np.asarray(raw_seqs, dtype=np.int64)
@@ -196,17 +200,15 @@ class ReorderBuffer:
         n = stations.size
         if n == 0:
             return np.empty(0, dtype=np.uint8)
-        if int(stations.min()) < 0 or int(stations.max()) >= self.n_stations:
+        # A one-record batch is range-checked by the scalar offer it takes.
+        if n > 1 and (int(stations.min()) < 0 or int(stations.max()) >= self.n_stations):
             raise ValueError(f"station out of range [0, {self.n_stations})")
-        if np.unique(stations).size != n:
-            codes = np.empty(n, dtype=np.uint8)
-            for i in range(n):
-                codes[i] = _CODE[
-                    self.offer(
-                        int(stations[i]), int(raw_seqs[i]), float(readings[i]), arrival=arrival
-                    )
-                ]
-            return codes
+        if n == 1 or np.unique(stations).size != n:
+            records = zip(stations.tolist(), raw_seqs.tolist(), readings.tolist(), strict=True)
+            return np.array(
+                [_CODE[self.offer(s, q, r, arrival=arrival)] for s, q, r in records],
+                dtype=np.uint8,
+            )
         # Unique stations: no offer in the batch can change another's
         # unwrap reference or dedup slot, so the outcome is independent
         # of processing order and each step vectorizes.

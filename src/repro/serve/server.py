@@ -2,17 +2,22 @@
 
 Data path::
 
-    client ──DATA──▶ connection handler ──▶ bounded ingest queue
-                                                 │  (backpressure)
-                                                 ▼
-                                          consumer task
-                                                 │ offer()
-                                                 ▼
-                                          ReorderBuffer ──drain──▶ column
-                                                                   batcher
-                                                                     │ B cols
-                                                                     ▼
-                                                      engine.step_block(...)
+    client ──DATA / BATCH_DATA──▶ connection handler ──▶ bounded ingest queue
+                                  (decode to arrays)          │  (backpressure)
+                                                              ▼
+                                                       consumer task
+                                                              │ offer_block()
+                                                              ▼
+               ACK / BUSY / BATCH_ACK ◀──reply──  ReorderBuffer ──drain──▶ column
+                                                                           batcher
+                                                                             │ B cols
+                                                                             ▼
+                                                              engine.step_block(...)
+
+The wire version is visible only where a frame is decoded and where its
+reply is encoded: a v1 DATA frame becomes a one-record
+``(stations, seqs, readings)`` batch, and everything in between —
+admission, queueing, reordering — handles those arrays alone.
 
 Correctness contract: blocks are always exactly ``block_size`` columns
 of consecutive ticks (the trailing partial block happens only at
@@ -72,7 +77,7 @@ from repro.serve.protocol import (
     unpack_data,
     unpack_hello,
 )
-from repro.serve.reorder import OFFER_BY_CODE, Offer, ReorderBuffer
+from repro.serve.reorder import OFFER_BY_CODE, ReorderBuffer
 from repro.stream.checkpoint import load_checkpoint, save_checkpoint
 from repro.stream.engine import ReplayDriver, StreamReplayEngine
 from repro.stream.shard import (
@@ -81,21 +86,6 @@ from repro.stream.shard import (
     load_sharded_checkpoint,
     save_sharded_checkpoint,
 )
-
-_OFFER_ACK = {
-    Offer.ACCEPTED: AckStatus.OK,
-    Offer.DUPLICATE: AckStatus.DUPLICATE,
-    Offer.LATE: AckStatus.LATE,
-}
-#: Vectorized Offer-code → AckStatus map, indexed by the uint8 codes
-#: ``ReorderBuffer.offer_block`` returns (OVERFLOW acks as BUSY: not
-#: terminal, the sender backs off and resends that reading).
-_ACK_FOR_CODE = np.array(
-    [int(_OFFER_ACK.get(offer, AckStatus.BUSY)) for offer in OFFER_BY_CODE],
-    dtype=np.uint8,
-)
-_CODE_LATE = OFFER_BY_CODE.index(Offer.LATE)
-
 
 class _TokenBucket:
     """Classic token bucket: ``rate`` refills/s up to ``burst`` capacity."""
@@ -115,9 +105,6 @@ class _TokenBucket:
             self.tokens -= need
             return True
         return False
-
-    def take(self, rate: float, burst: float) -> bool:
-        return self.take_many(1.0, rate, burst)
 
     def retry_after(self, need: float, rate: float) -> float:
         """Seconds until the bucket can cover ``need`` tokens."""
@@ -181,12 +168,15 @@ class IngestionServer:
         token.  ``auth_secret`` supersedes it when both are set.
     rate_limit, rate_burst:
         Per-client token-bucket rate limiting, beyond the inflight
-        quota: sustained DATA admission of ``rate_limit`` readings/s
-        with bursts up to ``rate_burst`` (default ``2 * rate_limit``).
-        Excess frames are answered BUSY (the client backs off and
-        retries) and counted in ``repro_serve_rate_limited_total``.
-        Buckets are keyed by client id, so reconnecting does not reset
-        a client's budget.
+        quota: sustained admission of ``rate_limit`` readings/s with
+        bursts up to ``rate_burst`` (default ``2 * rate_limit``).  A
+        frame is admitted whole or refused whole: a refused DATA frame
+        is answered BUSY with a ``retry_after`` hint (the bucket's
+        refill time), a refused BATCH_DATA frame with an all-BUSY
+        BATCH_ACK; the client backs off and retries.  Refused readings
+        are counted in ``repro_serve_rate_limited_total``.  Buckets are
+        keyed by client id, so reconnecting does not reset a client's
+        budget.
     checkpoint_path:
         Where :meth:`shutdown` writes the final checkpoint (optional).
         A single-process engine checkpoints to one ``.npz``; a sharded
@@ -267,7 +257,10 @@ class IngestionServer:
         #: Per-tick ingest→flag latency (seconds) for ticks whose first
         #: frame arrival was tracked; fuels the SLO bench profile.
         self.ingest_latencies: list[float] = []
-        self._metrics = ingest_metrics(obs.registry())
+        registry = obs.registry()
+        self._metrics = ingest_metrics(registry)
+        #: Metric-only work (outcome tallies, gauges) runs only when obs collects.
+        self._counting = registry.enabled
         self._server: asyncio.AbstractServer | None = None
         self._consumer: asyncio.Task | None = None
         #: Set when a signal handler schedules :meth:`shutdown`, so the
@@ -304,18 +297,7 @@ class IngestionServer:
         """
         if self._closing:
             return
-        self._closing = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._consumer is not None:
-            self._consumer.cancel()
-            try:
-                await self._consumer
-            except asyncio.CancelledError:
-                pass
-        while not self._queue.empty():
-            self._apply(self._queue.get_nowait())
+        await self._stop_intake()
         if self.checkpoint_path is not None:
             # Checkpoint writes hit disk; keep the loop responsive for
             # any connections still draining their BYE handshakes.
@@ -329,6 +311,15 @@ class IngestionServer:
         processed, ending with a trailing partial block exactly like
         ``engine.run``'s.
         """
+        await self._stop_intake()
+        self._columns.extend(self.reorder.flush())
+        while self._columns:
+            take = min(self.block_size, len(self._columns))
+            self._process_block(self._columns[:take])
+            del self._columns[:take]
+
+    async def _stop_intake(self) -> None:
+        """Close the listener, stop the consumer, apply everything queued."""
         if self._server is not None and not self._closing:
             self._server.close()
             await self._server.wait_closed()
@@ -341,11 +332,6 @@ class IngestionServer:
                 pass
         while not self._queue.empty():
             self._apply(self._queue.get_nowait())
-        self._columns.extend(self.reorder.flush())
-        while self._columns:
-            take = min(self.block_size, len(self._columns))
-            self._process_block(self._columns[:take])
-            del self._columns[:take]
 
     def save(self, path) -> None:
         """Checkpoint the pipeline + serve state.
@@ -453,7 +439,7 @@ class IngestionServer:
             if ftype is not FrameType.HELLO:
                 raise ProtocolError(f"expected HELLO, got {ftype.name}")
             hello = unpack_hello(body)
-            if not self._authenticate(hello):
+            if not self._credential_ok(hello.get("token"), str(hello["client_id"]), sign_token):
                 self._metrics["auth_failures"].inc()
                 writer.write(pack_error("authentication failed"))
                 await writer.drain()
@@ -479,9 +465,16 @@ class IngestionServer:
     async def _dispatch(self, conn: _Conn, ftype: FrameType, body: bytes) -> bool:
         """Route one post-handshake frame; True means BYE (close)."""
         if ftype is FrameType.DATA:
-            self._on_data(conn, body)
+            station, seq, _timestamp, reading = unpack_data(body)
+            stations, seqs = np.array([station], np.int64), np.array([seq], np.int64)
+            self._on_readings(conn, ftype, stations, seqs, np.array([reading], np.float64))
         elif ftype is FrameType.BATCH_DATA:
-            self._on_batch_data(conn, body)
+            if conn.version < 2:
+                raise ProtocolError("BATCH_DATA requires negotiated protocol v2")
+            stations, seqs, _timestamps, readings = unpack_batch_data(body)
+            self._metrics["batch_frames"].inc()
+            self._metrics["batch_readings"].inc(int(stations.size))
+            self._on_readings(conn, ftype, stations, seqs, readings)
         elif ftype in (FrameType.ADD_STATIONS, FrameType.DROP_STATIONS):
             await self._on_control(conn, ftype, body)
         elif ftype is FrameType.CORRUPT:
@@ -491,12 +484,16 @@ class IngestionServer:
         # Anything else from a client is ignorable noise.
         return False
 
-    def _authenticate(self, hello: dict) -> bool:
-        """Check HELLO credentials (constant-time on both paths)."""
-        token = str(hello.get("token") or "")
+    def _credential_ok(self, token, client_id: str, sign) -> bool:
+        """Check a HELLO or control credential (constant-time on both paths).
+
+        Under ``auth_secret`` the token must be ``sign(secret, client_id)``
+        (:func:`sign_token` for HELLO, :func:`sign_control_token` for
+        control frames); under ``auth_token`` it must equal that token.
+        """
+        token = str(token or "")
         if self.auth_secret is not None:
-            expected = sign_token(self.auth_secret, str(hello["client_id"]))
-            return hmac.compare_digest(token, expected)
+            return hmac.compare_digest(token, sign(self.auth_secret, client_id))
         if self.auth_token is not None:
             return hmac.compare_digest(token, self.auth_token)
         return True
@@ -507,67 +504,59 @@ class IngestionServer:
             bucket = self._buckets[conn.client_id] = _TokenBucket(self.rate_burst)
         return bucket
 
-    def _on_data(self, conn: _Conn, body: bytes) -> None:
-        station, seq, timestamp, reading = unpack_data(body)
-        self._metrics["frames"].inc()
-        if not 0 <= station < self.n_stations:
-            raise ProtocolError(f"station {station} out of range [0, {self.n_stations})")
-        if self.rate_limit is not None:
-            bucket = self._bucket(conn)
-            if not bucket.take(self.rate_limit, self.rate_burst):
-                # Over budget: BUSY, unacked — the client backs off for
-                # the bucket's actual refill time and resends.
-                self._metrics["rate_limited"].inc()
-                self._metrics["busy"].inc()
-                conn.send(
-                    pack_busy(station, seq, bucket.retry_after(1.0, self.rate_limit))
-                )
-                return
-        if conn.inflight >= self.max_inflight:
-            self._metrics["busy"].inc()
-            conn.send(pack_busy(station, seq))
-            return
-        item = ("data", conn, station, seq, reading, time.perf_counter())
-        if not self._admit(item, 1):
-            self._metrics["busy"].inc()
-            conn.send(pack_busy(station, seq))
-
-    def _on_batch_data(self, conn: _Conn, body: bytes) -> None:
-        if conn.version < 2:
-            raise ProtocolError("BATCH_DATA requires negotiated protocol v2")
-        stations, seqs, _timestamps, readings = unpack_batch_data(body)
+    def _on_readings(self, conn: _Conn, ftype: FrameType, stations, seqs, readings) -> None:
+        """Admit one data frame's readings to the ingest queue, or refuse them."""
         n = int(stations.size)
         self._metrics["frames"].inc()
-        self._metrics["batch_frames"].inc()
-        self._metrics["batch_readings"].inc(n)
-        if int(stations.min()) < 0 or int(stations.max()) >= self.n_stations:
-            raise ProtocolError(f"batch station out of range [0, {self.n_stations})")
+        # Station ids are u32 on the wire, so only the top end can be off.
+        # (A Python max: numpy's reduction overhead outweighs a v1 frame.)
+        if max(stations.tolist()) >= self.n_stations:
+            raise ProtocolError(f"station out of range [0, {self.n_stations})")
         if self.rate_limit is not None:
             bucket = self._bucket(conn)
             if not bucket.take_many(float(n), self.rate_limit, self.rate_burst):
-                # All-or-nothing: a partial batch admission would force
+                # All-or-nothing: a partial admission would force
                 # per-reading bucket accounting back into the hot path.
                 self._metrics["rate_limited"].inc(n)
-                self._busy_batch(conn, stations, seqs)
+                retry_after = bucket.retry_after(float(n), self.rate_limit)
+                self._refuse(conn, ftype, stations, seqs, retry_after)
                 return
         if conn.inflight + n > self.max_inflight:
-            self._busy_batch(conn, stations, seqs)
+            self._refuse(conn, ftype, stations, seqs)
             return
-        item = ("batch", conn, stations, seqs, readings, time.perf_counter())
+        arrival = time.perf_counter()
+        item = ("readings", conn, ftype, stations, seqs, readings, arrival, self.n_stations)
         if not self._admit(item, n):
-            self._busy_batch(conn, stations, seqs)
+            self._refuse(conn, ftype, stations, seqs)
 
-    def _busy_batch(self, conn: _Conn, stations: np.ndarray, seqs: np.ndarray) -> None:
-        """Refuse a whole batch: one BATCH_ACK, every status BUSY."""
+    def _refuse(self, conn: _Conn, ftype: FrameType, stations, seqs, retry_after=None) -> None:
+        """Answer a whole frame BUSY: the sender backs off and resends it."""
         self._metrics["busy"].inc()
         statuses = np.full(stations.size, int(AckStatus.BUSY), dtype=np.uint8)
-        conn.send(pack_batch_ack(stations, seqs, statuses))
+        self._reply(conn, ftype, stations, seqs, statuses, retry_after)
+
+    @staticmethod
+    def _reply(conn: _Conn, ftype: FrameType, stations, seqs, statuses, retry_after=None) -> None:
+        """Ack readings in the format of the frame that carried them.
+
+        ``statuses`` are :class:`AckStatus` codes.  BATCH_DATA is answered
+        with one BATCH_ACK; a DATA frame's single reading with an ACK, or
+        with a BUSY that carries the rate limiter's ``retry_after`` hint.
+        """
+        if ftype is FrameType.BATCH_DATA:
+            conn.send(pack_batch_ack(stations, seqs, statuses))
+            return
+        station, seq, status = stations.item(0), seqs.item(0), statuses.item(0)
+        if status == AckStatus.BUSY:
+            conn.send(pack_busy(station, seq, retry_after))
+        else:
+            conn.send(pack_ack(station, seq, status))
 
     def _admit(self, item: tuple, cost: int) -> bool:
         """Queue one ingest item (``cost`` readings) under backpressure.
 
         False means rejected (caller answers BUSY).  Under the shed
-        policy the oldest queued *data* item is dropped instead — a
+        policy the oldest queued *readings* item is dropped instead — a
         control op at the queue head is applied on the spot, which
         preserves its ordering exactly (everything before it has
         already been applied).
@@ -582,18 +571,14 @@ class IngestionServer:
                     continue
                 # The victim is silently dropped — never acked, so its
                 # sender retransmits it after backoff.
-                victim[1].inflight -= self._cost(victim)
-                self._metrics["shed"].inc(self._cost(victim))
+                shed = int(victim[3].size)
+                victim[1].inflight -= shed
+                self._metrics["shed"].inc(shed)
                 break
         item[1].inflight += cost
         self._queue.put_nowait(item)
-        self._metrics["queue_depth"].set(float(self._queue.qsize()))
+        self._observe_queue()
         return True
-
-    @staticmethod
-    def _cost(item: tuple) -> int:
-        """Readings an ingest queue item holds against its conn's quota."""
-        return int(item[2].size) if item[0] == "batch" else 1
 
     # ------------------------------------------------------------------
     # control plane
@@ -602,9 +587,9 @@ class IngestionServer:
         if conn.version < 2:
             raise ProtocolError(f"{ftype.name} requires negotiated protocol v2")
         payload = unpack_control(body)
-        cid = int(payload.get("cid", 0))
+        cid = payload["cid"]
         op = "add" if ftype is FrameType.ADD_STATIONS else "drop"
-        if not self._authorize_control(conn, payload):
+        if not self._credential_ok(payload.get("token"), conn.client_id, sign_control_token):
             self._metrics["auth_failures"].inc()
             self._metrics["control_denied"].inc()
             conn.send(
@@ -617,17 +602,7 @@ class IngestionServer:
         # data already admitted ahead of it.  ``put`` (not put_nowait)
         # may wait for space — control is rare and must not be shed.
         await self._queue.put(("control", conn, ftype, payload))
-        self._metrics["queue_depth"].set(float(self._queue.qsize()))
-
-    def _authorize_control(self, conn: _Conn, payload: dict) -> bool:
-        """Check a control frame's HMAC credential (constant-time)."""
-        token = str(payload.get("token") or "")
-        if self.auth_secret is not None:
-            expected = sign_control_token(self.auth_secret, conn.client_id)
-            return hmac.compare_digest(token, expected)
-        if self.auth_token is not None:
-            return hmac.compare_digest(token, self.auth_token)
-        return True
+        self._observe_queue()
 
     # ------------------------------------------------------------------
     # consumer
@@ -636,65 +611,42 @@ class IngestionServer:
         while True:
             item = await self._queue.get()
             self._apply(item)
+            self._observe_queue()
+
+    def _observe_queue(self) -> None:
+        if self._counting:
             self._metrics["queue_depth"].set(float(self._queue.qsize()))
 
     def _apply(self, item: tuple) -> None:
-        kind = item[0]
-        if kind == "data":
-            self._apply_data(*item[1:])
-        elif kind == "batch":
-            self._apply_batch(*item[1:])
+        if item[0] == "readings":
+            self._apply_readings(*item[1:])
         else:
             self._apply_control(*item[1:])
 
-    def _apply_data(self, conn: _Conn, station, seq, reading, arrival) -> None:
-        conn.inflight -= 1
-        if station >= self.n_stations:
-            # A drop applied ahead of this queued straggler ended its
-            # station's timeline — terminal, the slot cannot be served.
-            conn.send(pack_ack(station, seq, AckStatus.LATE))
-            self._metrics["late"].inc()
-            return
-        outcome = self.reorder.offer(station, seq, reading, arrival=arrival)
-        if outcome is Offer.OVERFLOW:
-            self._metrics["busy"].inc()
-            conn.send(pack_busy(station, seq))
-        else:
-            if outcome is Offer.ACCEPTED:
-                self._metrics["accepted"].inc()
-            elif outcome is Offer.DUPLICATE:
-                self._metrics["duplicates"].inc()
-            else:
-                self._metrics["late"].inc()
-            conn.send(pack_ack(station, seq, _OFFER_ACK[outcome]))
-        self._drain_columns()
+    def _apply_readings(
+        self, conn: _Conn, ftype: FrameType, stations, seqs, readings, arrival, width
+    ) -> None:
+        """File one admitted frame's readings and ack them.
 
-    def _apply_batch(self, conn: _Conn, stations, seqs, readings, arrival) -> None:
+        ``width`` is the fleet width the frame was admitted against.
+        """
         conn.inflight -= int(stations.size)
-        valid = stations < self.n_stations
-        if valid.all():
-            codes = self.reorder.offer_block(stations, seqs, readings, arrival=arrival)
-        else:
-            # Stations a drop renumbered away while this batch queued:
-            # their timelines are over — terminal LATE, like the scalar
-            # path's straggler handling.
-            codes = np.full(stations.size, _CODE_LATE, dtype=np.uint8)
-            idx = np.nonzero(valid)[0]
-            if idx.size:
-                codes[idx] = self.reorder.offer_block(
-                    stations[idx], seqs[idx], readings[idx], arrival=arrival
-                )
-        tally = np.bincount(codes, minlength=len(OFFER_BY_CODE))
-        accepted, duplicates, late, overflow = (int(c) for c in tally[:4])
-        if accepted:
-            self._metrics["accepted"].inc(accepted)
-        if duplicates:
-            self._metrics["duplicates"].inc(duplicates)
-        if late:
-            self._metrics["late"].inc(late)
-        if overflow:
-            self._metrics["busy"].inc(overflow)
-        conn.send(pack_batch_ack(stations, seqs, _ACK_FOR_CODE[codes]))
+        # Stations a drop renumbered away while this frame queued: their
+        # timelines are over, so those readings are terminal LATE.
+        stale = self.n_stations < width
+        live = stations < self.n_stations if stale else slice(None)
+        codes = self.reorder.offer_block(stations[live], seqs[live], readings[live], arrival=arrival)
+        if stale:
+            late = np.full(stations.size, int(AckStatus.LATE), dtype=np.uint8)
+            late[live] = codes
+            codes = late
+        if self._counting:
+            tally = np.bincount(codes, minlength=len(OFFER_BY_CODE)).tolist()
+            # OVERFLOW is not terminal: the sender backs off and resends.
+            for name, count in zip(("accepted", "duplicates", "late", "busy"), tally, strict=True):
+                self._metrics[name].inc(count)
+        # Reorder codes are the AckStatus values (OVERFLOW is BUSY).
+        self._reply(conn, ftype, stations, seqs, codes)
         self._drain_columns()
 
     def _apply_control(self, conn: _Conn, ftype: FrameType, payload: dict) -> None:
@@ -705,7 +657,7 @@ class IngestionServer:
         tick — the same boundary an engine-local ``add_stations``/
         ``drop_stations`` between two ``step_block`` calls would hit.
         """
-        cid = int(payload.get("cid", 0))
+        cid = payload["cid"]
         op = "add" if ftype is FrameType.ADD_STATIONS else "drop"
         try:
             if ftype is FrameType.ADD_STATIONS:
@@ -756,7 +708,8 @@ class IngestionServer:
 
     def _drain_columns(self) -> None:
         self._columns.extend(self.reorder.drain())
-        self._metrics["pending_ticks"].set(float(self.reorder.pending_ticks))
+        if self._counting:
+            self._metrics["pending_ticks"].set(float(self.reorder.pending_ticks))
         while len(self._columns) >= self.block_size:
             self._process_block(self._columns[: self.block_size])
             del self._columns[: self.block_size]

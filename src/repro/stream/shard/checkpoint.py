@@ -336,8 +336,14 @@ def load_sharded_checkpoint(
             raise ckpt.CheckpointError(
                 f"sharded checkpoint extra file {extra_path} is missing"
             )
-        with np.load(extra_path, allow_pickle=False) as archive:
-            extra = {key: archive[key] for key in archive.files}
+        try:
+            with np.load(extra_path, allow_pickle=False) as archive:
+                extra = {key: archive[key] for key in archive.files}
+        except Exception as exc:
+            raise ckpt.CheckpointError(
+                f"cannot read sharded checkpoint extra file {extra_path}: "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
 
     engine = ShardedFleetEngine._from_parts(
         manifest["pipeline"],

@@ -78,6 +78,13 @@ class TestRoundTrips:
             ((_, body),) = decode_all(pack_ack(3, 9, status))
             assert unpack_ack(body) == (3, 9, status)
 
+    def test_unknown_ack_status_raises(self):
+        with pytest.raises(ProtocolError, match="status"):
+            unpack_ack(struct.pack(">IIB", 0, 0, max(AckStatus) + 1))
+        records = struct.pack(">IIB", 0, 0, 0) + struct.pack(">IIB", 1, 0, 200)
+        with pytest.raises(ProtocolError, match="status"):
+            unpack_batch_ack(records)
+
     def test_busy_round_trips(self):
         ((_, body),) = decode_all(pack_busy(2, 11))
         assert unpack_busy(body) == (2, 11, None)
@@ -331,6 +338,18 @@ class TestControlCodecs:
         data-plane token (separate HMAC domains)."""
         assert sign_control_token("s", "c") != sign_token("s", "c")
         assert sign_control_token("s", "c") == sign_control_token("s", "c")
+
+    @pytest.mark.parametrize("cid", ['"7"', "1.5", "null", "true", "[1]"])
+    def test_non_integer_cid_raises(self, cid):
+        body = f'{{"cid": {cid}, "ok": true}}'.encode()
+        with pytest.raises(ProtocolError, match="cid"):
+            unpack_control(body)
+        with pytest.raises(ProtocolError, match="cid"):
+            unpack_control_ack(body)
+
+    def test_absent_cid_defaults_to_zero(self):
+        assert unpack_control(b'{"n_new": 1}')["cid"] == 0
+        assert unpack_control_ack(b'{"ok": true}')["cid"] == 0
 
     def test_malformed_control_body_raises(self):
         with pytest.raises(ProtocolError, match="control"):

@@ -17,6 +17,7 @@ The v2 acceptance criteria, executed:
 """
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -29,7 +30,19 @@ from repro.serve import (
     IngestionServer,
     TcpTransport,
 )
-from repro.serve.protocol import FrameType, pack_hello
+from repro.serve.protocol import (
+    FrameDecoder,
+    FrameType,
+    encode_frame,
+    pack_ack,
+    pack_batch_ack,
+    pack_batch_data,
+    pack_busy,
+    pack_data,
+    pack_drop_stations,
+    pack_hello,
+    unpack_busy,
+)
 from repro.stream import synthesize_fleet
 
 from tests.serve.conftest import build_engine
@@ -575,3 +588,222 @@ class TestRemoteChurn:
             await server.finish()
 
         run(scenario())
+
+
+class _RawPeer:
+    """A hand-driven socket session: exact frames out, exact frames in."""
+
+    def __init__(self, reader, writer) -> None:
+        self.reader = reader
+        self.writer = writer
+        self.decoder = FrameDecoder()
+
+    @classmethod
+    async def connect(cls, port: int, versions=None) -> "_RawPeer":
+        peer = cls(*await asyncio.open_connection("127.0.0.1", port))
+        (welcome,) = await peer.exchange(pack_hello("raw", versions=versions), 1)
+        assert welcome[5] == FrameType.WELCOME
+        return peer
+
+    async def exchange(self, frames: bytes, n_replies: int) -> list[bytes]:
+        """Send ``frames`` in one write; return the next replies, re-encoded."""
+        self.writer.write(frames)
+        await self.writer.drain()
+        replies: list[bytes] = []
+        while len(replies) < n_replies:
+            chunk = await asyncio.wait_for(self.reader.read(4096), 10)
+            assert chunk, f"connection closed after {replies}"
+            replies.extend(encode_frame(t, b) for t, b in self.decoder.feed(chunk))
+        return replies
+
+    async def close(self) -> None:
+        self.writer.close()
+        await self.writer.wait_closed()
+
+
+class TestReplyFormat:
+    """One reply function: DATA is answered ACK/BUSY, BATCH_DATA with
+    BATCH_ACK, whatever path the readings took inside the server."""
+
+    def test_v1_replies_are_byte_identical_per_outcome(self, small_autoencoder):
+        fleet = synthesize_fleet(2, 8, seed=103)
+
+        async def scenario():
+            server = IngestionServer(
+                build_engine(small_autoencoder, fleet),
+                block_size=1,
+                lateness=1,
+                capacity=4,
+                max_inflight=1,
+            )
+            await server.start()
+            peer = await _RawPeer.connect(server.port)
+            ok = await peer.exchange(pack_data(0, 0, 0.0, 1.0), 1)
+            duplicate = await peer.exchange(pack_data(0, 0, 0.0, 1.0), 1)
+            # Station 0 at tick 2 moves the watermark past ticks 0..1.
+            advance = await peer.exchange(pack_data(0, 2, 0.0, 1.0), 1)
+            late = await peer.exchange(pack_data(1, 0, 0.0, 1.0), 1)
+            overflow = await peer.exchange(pack_data(1, 6, 0.0, 1.0), 1)
+            # Two frames in one write against a quota of one: the second
+            # is refused at admission, before the first is applied.
+            quota = await peer.exchange(pack_data(1, 2, 0.0, 1.0) + pack_data(0, 3, 0.0, 1.0), 2)
+            await peer.close()
+            await server.finish()
+            return ok, duplicate, advance, late, overflow, quota
+
+        ok, duplicate, advance, late, overflow, quota = run(scenario())
+        assert ok == [pack_ack(0, 0, AckStatus.OK)]
+        assert duplicate == [pack_ack(0, 0, AckStatus.DUPLICATE)]
+        assert advance == [pack_ack(0, 2, AckStatus.OK)]
+        assert late == [pack_ack(1, 0, AckStatus.LATE)]
+        assert overflow == [pack_busy(1, 6)]
+        assert quota == [pack_busy(0, 3), pack_ack(1, 2, AckStatus.OK)]
+
+    def test_v1_rate_limited_busy_carries_retry_after(self, small_autoencoder):
+        fleet = synthesize_fleet(1, 8, seed=104)
+        rate = 2.0
+
+        async def scenario():
+            server = IngestionServer(
+                build_engine(small_autoencoder, fleet),
+                block_size=1,
+                lateness=1,
+                rate_limit=rate,
+                rate_burst=1.0,
+            )
+            await server.start()
+            peer = await _RawPeer.connect(server.port)
+            replies = await peer.exchange(pack_data(0, 0, 0.0, 1.0) + pack_data(0, 1, 0.0, 1.0), 2)
+            await peer.close()
+            await server.finish()
+            return replies
+
+        admitted, limited = sorted(run(scenario()), key=lambda frame: frame[5])
+        assert admitted == pack_ack(0, 0, AckStatus.OK)
+        ((ftype, body),) = FrameDecoder().feed(limited)
+        assert ftype is FrameType.BUSY
+        station, seq, retry_after = unpack_busy(body)
+        assert (station, seq) == (0, 1)
+        # The bucket's refill time for one reading, at most 1/rate.
+        assert retry_after is not None and 0.0 < retry_after <= 1.0 / rate
+        assert limited == pack_busy(0, 1, retry_after)
+
+    def test_dropped_station_straggler_is_acked_late(self, small_autoencoder):
+        """A DATA frame admitted behind a DROP of its station is LATE
+        (its timeline ended), answered in the DATA frame's own format."""
+        fleet = synthesize_fleet(3, 8, seed=105)
+
+        async def scenario():
+            server = IngestionServer(
+                build_engine(small_autoencoder, fleet), block_size=1, lateness=1
+            )
+            await server.start()
+            peer = await _RawPeer.connect(server.port, versions=(1, 2))
+            replies = await peer.exchange(
+                pack_drop_stations([2], cid=5) + pack_data(2, 0, 0.0, 1.0), 2
+            )
+            await peer.close()
+            await server.finish()
+            return replies
+
+        control_ack, straggler = run(scenario())
+        assert control_ack[5] == FrameType.CONTROL_ACK
+        assert straggler == pack_ack(2, 0, AckStatus.LATE)
+
+    def test_batch_readings_answered_with_one_batch_ack(self, small_autoencoder):
+        fleet = synthesize_fleet(2, 8, seed=106)
+
+        async def scenario():
+            server = IngestionServer(
+                build_engine(small_autoencoder, fleet), block_size=1, lateness=1
+            )
+            await server.start()
+            peer = await _RawPeer.connect(server.port, versions=(1, 2))
+            replies = await peer.exchange(pack_batch_data([0, 1, 0], 0, 0.0, 1.0), 1)
+            await peer.close()
+            await server.finish()
+            return replies
+
+        assert run(scenario()) == [
+            pack_batch_ack([0, 1, 0], [0, 0, 0], [AckStatus.OK, AckStatus.OK, AckStatus.DUPLICATE])
+        ]
+
+    def test_non_integer_control_cid_is_a_protocol_error(self, small_autoencoder):
+        """A malformed cid closes the session with ERROR, not a crash."""
+        fleet = synthesize_fleet(2, 8, seed=107)
+
+        async def scenario():
+            server = IngestionServer(build_engine(small_autoencoder, fleet), block_size=1)
+            await server.start()
+            peer = await _RawPeer.connect(server.port, versions=(1, 2))
+            body = b'{"cid": "abc", "stations": [1], "token": ""}'
+            replies = await peer.exchange(encode_frame(FrameType.DROP_STATIONS, body), 2)
+            await peer.close()
+            await server.finish()
+            return replies, server.n_stations
+
+        (error, bye), n_stations = run(scenario())
+        ((ftype, message),) = FrameDecoder().feed(error)
+        assert ftype is FrameType.ERROR and b"cid" in message
+        assert bye == encode_frame(FrameType.BYE)
+        assert n_stations == 2
+
+
+class _HintSpy(TcpTransport):
+    """Record when each frame goes out and when each BUSY hint comes in."""
+
+    def __init__(self, host: str, port: int) -> None:
+        super().__init__(host, port)
+        self.sent: list[tuple[float, bytes]] = []
+        self.hints: list[tuple[float, tuple, float | None]] = []
+        self._spy = FrameDecoder()
+
+    def send(self, frame: bytes) -> None:
+        self.sent.append((time.perf_counter(), frame))
+        super().send(frame)
+
+    async def read(self, timeout: float) -> bytes:
+        chunk = await super().read(timeout)
+        now = time.perf_counter()
+        for ftype, body in self._spy.feed(chunk):
+            if ftype is FrameType.BUSY:
+                station, seq, hint = unpack_busy(body)
+                self.hints.append((now, (station, seq), hint))
+        return chunk
+
+    async def connect(self, timeout: float = 5.0) -> None:
+        await super().connect(timeout)
+        self._spy = FrameDecoder()
+
+
+class TestRetryAfterHint:
+    def test_client_waits_out_the_rate_limit_hint(self, small_autoencoder):
+        """After a rate-limited BUSY the reading is resent no sooner than
+        the server's retry_after hint (blind backoff would be ~20 ms)."""
+        fleet = synthesize_fleet(1, 8, seed=108)
+
+        async def scenario():
+            server = IngestionServer(
+                build_engine(small_autoencoder, fleet),
+                block_size=1,
+                lateness=1,
+                rate_limit=2.0,
+                rate_burst=1.0,
+            )
+            await server.start()
+            spy = _HintSpy("127.0.0.1", server.port)
+            async with IngestClient(transport=spy, seed=0, versions=(1,)) as client:
+                await client.send(0, 0, fleet[0, 0])
+                await client.send(0, 1, fleet[0, 1])
+                await client.drain()
+            await server.finish()
+            return spy
+
+        spy = run(scenario())
+        assert [key for _, key, _ in spy.hints] == [(0, 1)] * len(spy.hints)
+        assert spy.hints and all(hint is not None and hint > 0.0 for *_, hint in spy.hints)
+        second = pack_data(0, 1, 0.0, 0.0)[:14]  # header, type, station, seq
+        sends = [at for at, frame in spy.sent if frame[:14] == second]
+        for received, _, hint in spy.hints:
+            resend = min(at for at in sends if at > received)
+            assert resend - received >= hint

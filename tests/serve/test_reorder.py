@@ -8,7 +8,7 @@ column), and a burst landing exactly on the watermark boundary.
 import numpy as np
 import pytest
 
-from repro.serve.protocol import SEQ_MOD
+from repro.serve.protocol import SEQ_MOD, AckStatus
 from repro.serve.reorder import OFFER_BY_CODE, Offer, ReorderBuffer
 
 
@@ -252,6 +252,41 @@ class TestOfferBlock:
                 drained_matrix(drained_a, 8), drained_matrix(drained_b, 8)
             )
             self._assert_twins_equal(block_buf, scalar_buf)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_repeats_and_single_records_equal_sequential_offers(self, seed):
+        """Stations drawn *with* replacement: one-record batches (every
+        v1 DATA frame) and repeated-station batches, across the u32
+        wrap, match scalar offers in order exactly like unique ones."""
+        rng = np.random.default_rng(seed)
+        block_buf, scalar_buf = self._twin_buffers(start=SEQ_MOD - 16)
+        for _ in range(60):
+            n = 1 if rng.random() < 0.4 else int(rng.integers(2, 12))
+            stations = rng.choice(8, size=n, replace=True)
+            base = int(scalar_buf.next_emit)
+            seqs = np.mod(base + rng.integers(-6, 40, size=n), SEQ_MOD)
+            readings = rng.normal(size=n)
+            codes = block_buf.offer_block(stations, seqs, readings, arrival=2.0)
+            expected = [
+                scalar_buf.offer(int(s), int(q), float(r), arrival=2.0)
+                for s, q, r in zip(stations, seqs, readings, strict=True)
+            ]
+            assert [OFFER_BY_CODE[c] for c in codes] == expected
+            np.testing.assert_array_equal(
+                drained_matrix(block_buf.drain(), 8), drained_matrix(scalar_buf.drain(), 8)
+            )
+            self._assert_twins_equal(block_buf, scalar_buf)
+        assert block_buf.counts == scalar_buf.counts
+        assert scalar_buf.next_emit > SEQ_MOD  # the run crossed the wrap
+
+    def test_codes_are_the_ack_statuses_sent(self):
+        """The server acks reorder codes as they are: pin the equality."""
+        assert {offer: AckStatus(code) for code, offer in enumerate(OFFER_BY_CODE)} == {
+            Offer.ACCEPTED: AckStatus.OK,
+            Offer.DUPLICATE: AckStatus.DUPLICATE,
+            Offer.LATE: AckStatus.LATE,
+            Offer.OVERFLOW: AckStatus.BUSY,
+        }
 
     def test_repeated_stations_in_one_batch_match_sequential(self):
         """A batch mentioning a station twice (client retransmit merged

@@ -267,6 +267,30 @@ class TestRejections:
         with pytest.raises(CheckpointError, match="truncated"):
             load_sharded_checkpoint(ckpt_dir)
 
+    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    def test_damaged_extra_file_names_its_path(
+        self, tmp_path, shard_autoencoder, train_fleet, live_fleet, damage
+    ):
+        """The extra archive (the serve state of a sharded server
+        checkpoint) is not in the checksummed member table, so its own
+        read must turn a damaged zip into a CheckpointError."""
+        ckpt_dir = tmp_path / "ckpt"
+        with ShardedFleetEngine(
+            build_fleet_engine(shard_autoencoder, train_fleet), 2
+        ) as engine:
+            engine.step_block(live_fleet[:, :4])
+            save_sharded_checkpoint(ckpt_dir, engine, extra={"note": np.arange(256.0)})
+        extra_file = ckpt_dir / "extra.npz"
+        raw = bytearray(extra_file.read_bytes())
+        if damage == "truncate":
+            raw = raw[:-16]
+        else:
+            raw[len(raw) // 2] ^= 0xFF
+        extra_file.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="extra file") as excinfo:
+            load_sharded_checkpoint(ckpt_dir)
+        assert str(extra_file) in str(excinfo.value)
+
     def test_missing_manifest_names_single_file_loader(self, tmp_path):
         with pytest.raises(CheckpointError, match="load_checkpoint"):
             load_sharded_checkpoint(tmp_path)
