@@ -13,7 +13,8 @@ that make the scale-out transparent:
     respawns it from its snapshot, replays the gap journal, and the
     output never forks;
  3. **incremental checkpoints** — the fleet checkpoints to a manifest
-    directory of per-shard members and resumes from it, still bit-exact.
+    directory with one member file per shard and resumes from it, still
+    bit-exact; a re-save rewrites only the shards that changed.
 
 Run:  PYTHONPATH=src python examples/sharded_fleet.py
 Takes a few seconds.
@@ -31,11 +32,9 @@ from repro.stream import (
     StreamingDetector,
     StreamingMinMaxScaler,
     create_engine,
+    load_checkpoint,
+    save_checkpoint,
     synthesize_fleet,
-)
-from repro.stream.shard import (
-    load_sharded_checkpoint,
-    save_sharded_checkpoint,
 )
 
 SMOKE = os.environ.get("REPRO_EXAMPLES_SMOKE") == "1"
@@ -105,13 +104,15 @@ with engine:
         f"({N_TICKS} ticks x {N_STATIONS} stations, failover included)"
     )
 
-    # 4. Incremental checkpoint: a manifest directory of per-shard
-    # members; delta saves rewrite only shards that changed.
+    # 4. Incremental checkpoint: a manifest directory with one member file
+    # per shard; a re-save rewrites only shards that changed since.
     with tempfile.TemporaryDirectory() as tmp:
         ckpt = os.path.join(tmp, "fleet-ckpt")
-        save_sharded_checkpoint(ckpt, engine)
+        save_checkpoint(ckpt, engine)
         print(f"checkpoint: {sorted(os.listdir(ckpt))}")
-        restored, _extra = load_sharded_checkpoint(ckpt)
+        save_checkpoint(ckpt, engine)
+        print(f"idle re-save keeps every member file: {sorted(os.listdir(ckpt))}")
+        restored, _extra = load_checkpoint(ckpt)
         with restored:
             assert restored.tick == engine.tick
             more = synthesize_fleet(N_STATIONS, BLOCK, seed=SEED + 2)

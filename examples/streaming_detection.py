@@ -142,15 +142,15 @@ print(
 )
 
 # 6. Operations: checkpoint the whole pipeline (detector state, scaler
-#    bounds, mitigator anchors, autoencoder weights) into ONE .npz and
-#    prove bit-exact resume in a "fresh process".
+#    bounds, mitigator anchors, autoencoder weights) into one checkpoint
+#    directory and prove bit-exact resume in a "fresh process".
 with tempfile.TemporaryDirectory() as tmp:
     path = save_checkpoint(os.path.join(tmp, "pipeline"), engine)
-    size_kb = os.path.getsize(path) / 1e3
-    restored = load_checkpoint(path)
-    resumed = restored.engine()
+    size_kb = sum(f.stat().st_size for f in path.iterdir()) / 1e3
+    resumed, _extra = load_checkpoint(path)
     assert resumed.detector.tick == detector.tick
     print(
-        f"\ncheckpointed the full pipeline to one {size_kb:.0f} kB archive "
-        f"and restored it at tick {resumed.detector.tick} — ready to resume"
+        f"\ncheckpointed the full pipeline to a {size_kb:.0f} kB directory "
+        f"({', '.join(sorted(f.name for f in path.iterdir()))}) and restored it "
+        f"at tick {resumed.detector.tick} — ready to resume"
     )

@@ -9,8 +9,8 @@ export path the package offers:
     fill stage-span histograms (validate / scale+buffer / forward /
     threshold / mitigate), per-block latency histograms, and counters
     for readings, flags and missing readings as a side effect;
- 3. checkpoint the pipeline (save/load durations and archive bytes land
-    in the same registry);
+ 3. checkpoint the pipeline (save/load durations, checkpoint bytes and
+    member files written land in the same registry);
  4. stream periodic JSONL snapshots with :class:`~repro.obs.JsonlSink`;
  5. print the Prometheus text exposition — paste-ready for any scrape
     endpoint or pushgateway.
@@ -97,7 +97,7 @@ report = engine.run(attacked, block_size=BLOCK_SIZE)
 sink.write(registry)
 print(report.summary())
 
-# 3. Checkpoint round-trip: durations and archive size join the registry.
+# 3. Checkpoint round-trip: durations and checkpoint size join the registry.
 path = save_checkpoint(os.path.join(out_dir, "pipeline"), engine)
 load_checkpoint(path)
 sink.write(registry)

@@ -27,7 +27,8 @@ Instrumented out of the box:
   (``repro_stream_tick_seconds`` at ``block_size=1``,
   ``repro_stream_block_seconds`` otherwise), a mitigate span,
   readings/s gauge, churn and fallback-wiring counters;
-* ``repro.stream.checkpoint`` — save/load durations and archive bytes;
+* ``repro.stream.checkpoint`` — save/load durations, checkpoint bytes,
+  and member files written;
 * ``repro.nn.backend`` — kernel dispatch counts per resolved backend;
 * ``Sequential.fit`` — per-epoch timings;
 * ``FederatedSimulation`` — per-round client/barrier/aggregate timings.

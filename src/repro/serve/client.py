@@ -243,13 +243,11 @@ class IngestClient:
                     chunk = await self.transport.read(self.read_timeout)
                     for ftype, body in self._decoder.feed(chunk):
                         if ftype is FrameType.WELCOME:
-                            welcome = unpack_welcome(body)
-                            self.max_inflight = int(welcome["max_inflight"])
+                            welcome = unpack_welcome(body)  # validated ints
+                            self.max_inflight = welcome["max_inflight"]
                             # A WELCOME without a version is a v1 server.
-                            self.protocol_version = int(welcome.get("version", 1))
-                            self.max_batch = int(
-                                welcome.get("max_batch", MAX_BATCH_RECORDS)
-                            )
+                            self.protocol_version = welcome.get("version", 1)
+                            self.max_batch = welcome.get("max_batch", MAX_BATCH_RECORDS)
                             self._connected = True
                             return
                         if ftype is FrameType.ERROR:

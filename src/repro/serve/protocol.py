@@ -67,6 +67,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import json
+import math
 import struct
 import zlib
 from enum import IntEnum
@@ -252,6 +253,10 @@ def unpack_busy(body: bytes) -> tuple[int, int, float | None]:
         return station, seq, None
     if len(body) == _BUSY_HINT.size:
         station, seq, retry_after = _BUSY_HINT.unpack(body)
+        # A sender schedules its retry by this hint: an infinite, NaN or
+        # negative one would park the reading forever or retry at once.
+        if not (math.isfinite(retry_after) and retry_after >= 0.0):
+            raise ProtocolError(f"BUSY retry_after must be finite and >= 0, got {retry_after}")
         return station, seq, retry_after
     raise ProtocolError(
         f"BUSY body must be {_BUSY.size} or {_BUSY_HINT.size} bytes, got {len(body)}"
@@ -439,7 +444,15 @@ def pack_welcome(
 
 
 def unpack_welcome(body: bytes) -> dict:
-    return _unpack_json(body, "WELCOME", "max_inflight")
+    welcome = _unpack_json(body, "WELCOME", "max_inflight")
+    for key in ("max_inflight", "max_batch"):
+        value = welcome.get(key, 1)
+        if type(value) is not int or value < 1:
+            raise ProtocolError(f"WELCOME {key} must be a positive integer, got {value!r}")
+    version = welcome.get("version", 1)
+    if type(version) is not int or version not in PROTOCOL_VERSIONS:
+        raise ProtocolError(f"WELCOME version {version!r} is not one of {PROTOCOL_VERSIONS}")
+    return welcome
 
 
 def pack_error(message: str) -> bytes:

@@ -50,7 +50,6 @@ import asyncio
 import hmac
 import signal
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -79,13 +78,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.reorder import OFFER_BY_CODE, ReorderBuffer
 from repro.stream.checkpoint import load_checkpoint, save_checkpoint
-from repro.stream.engine import ReplayDriver, StreamReplayEngine
-from repro.stream.shard import (
-    MANIFEST_NAME,
-    ShardedFleetEngine,
-    load_sharded_checkpoint,
-    save_sharded_checkpoint,
-)
+from repro.stream.engine import ReplayDriver
 
 class _TokenBucket:
     """Classic token bucket: ``rate`` refills/s up to ``burst`` capacity."""
@@ -178,9 +171,8 @@ class IngestionServer:
         keyed by client id, so reconnecting does not reset a client's
         budget.
     checkpoint_path:
-        Where :meth:`shutdown` writes the final checkpoint (optional).
-        A single-process engine checkpoints to one ``.npz``; a sharded
-        engine writes a manifest *directory* of per-shard members.
+        Where :meth:`shutdown` writes the final checkpoint directory
+        (optional; :func:`~repro.stream.checkpoint.save_checkpoint`).
     start_tick:
         Absolute tick the timeline starts at (tests park this near the
         u32 wrap point).
@@ -334,13 +326,10 @@ class IngestionServer:
             self._apply(self._queue.get_nowait())
 
     def save(self, path) -> None:
-        """Checkpoint the pipeline + serve state.
+        """Checkpoint the pipeline + serve state to the directory ``path``.
 
-        A single-process engine bundles everything into one ``.npz``; a
-        :class:`~repro.stream.shard.ShardedFleetEngine` writes a
-        manifest directory instead (delta save: only shards that
-        changed since the last checkpoint are rewritten), with the
-        serve state in the manifest's ``extra`` member.
+        The serve state (reorder buffer, buffered columns, block size)
+        travels as the checkpoint's ``extra`` arrays.
         """
         extra: dict[str, np.ndarray] = {}
         for key, value in self.reorder.state_dict().items():
@@ -357,24 +346,16 @@ class IngestionServer:
             [arrival for _, _, arrival in self._columns], dtype=np.float64
         )
         extra["serve.block_size"] = np.asarray(self.block_size, dtype=np.int64)
-        if isinstance(self.engine, ShardedFleetEngine):
-            save_sharded_checkpoint(path, self.engine, extra=extra)
-        else:
-            save_checkpoint(path, self.engine, extra=extra)
+        save_checkpoint(path, self.engine, extra=extra)
 
     @classmethod
     def from_checkpoint(cls, path, **kwargs) -> "IngestionServer":
         """Rebuild a server exactly as :meth:`shutdown` left it.
 
-        ``path`` may be a single-file archive or a sharded manifest
-        directory — whichever :meth:`save` produced; a sharded restore
-        respawns the worker fleet before serving resumes.
+        A sharded checkpoint respawns the worker fleet before serving
+        resumes.
         """
-        if (Path(path) / MANIFEST_NAME).is_file():
-            engine, extra = load_sharded_checkpoint(path)
-        else:
-            restored = load_checkpoint(path)
-            engine, extra = restored.engine(), restored.extra
+        engine, extra = load_checkpoint(path)
         kwargs.setdefault("block_size", int(extra["serve.block_size"]))
         server = cls(engine, **kwargs)
         server.reorder.load_state_dict(

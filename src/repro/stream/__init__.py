@@ -24,7 +24,7 @@ loop block-wise.  Every per-tick entry point (``process_tick``,
 counterpart; larger blocks move mitigation feedback and
 adaptive-threshold updates to block granularity.
 
-Operations: the pipeline checkpoints to a single ``.npz`` with
+Operations: the pipeline checkpoints to a manifest directory with
 bit-exact resume (:mod:`~repro.stream.checkpoint`), fleets grow and
 shrink at runtime (``add_stations``/``drop_stations`` on the detector,
 engine and every state bank), and NaN readings can be accepted as
@@ -33,8 +33,8 @@ causally, excluded from scaler/threshold adaptation, and counted
 per-station in the report.  For fleets larger than one process,
 :mod:`repro.stream.shard` runs the same pipeline as N shard-local
 worker processes behind one engine facade — bit-exact against the
-single-engine path, with per-shard manifest checkpoints and worker
-failover.
+single-engine path, saved in the same checkpoint format (one member
+file per shard) and with worker failover.
 
 Quickstart::
 
@@ -54,7 +54,6 @@ Quickstart::
 from repro.stream.buffers import RingBufferBank
 from repro.stream.checkpoint import (
     CheckpointError,
-    StreamCheckpoint,
     load_checkpoint,
     save_checkpoint,
 )
@@ -84,7 +83,6 @@ from repro.stream.scaler import StreamingMinMaxScaler
 __all__ = [
     "RingBufferBank",
     "CheckpointError",
-    "StreamCheckpoint",
     "load_checkpoint",
     "save_checkpoint",
     "BlockResult",

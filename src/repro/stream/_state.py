@@ -7,7 +7,7 @@ bit-exact resume, nothing derivable from constructor arguments.
 Composite components (the detector owning a scaler, the seasonal
 mitigator owning a ring buffer) nest their children's dicts under a
 dotted prefix, which keeps the whole pipeline's state one flat mapping
-that drops straight into a single ``np.savez`` archive
+that drops straight into one ``np.savez`` member archive
 (:mod:`repro.stream.checkpoint`).
 
 The helpers here are deliberately strict: a missing key, a stray key,

@@ -36,8 +36,8 @@ Thresholds come in two flavours:
 
 Operations: the detector serializes its full pipeline state via
 ``state_dict()``/``load_state_dict()`` (bundle with the autoencoder via
-:mod:`repro.stream.checkpoint` for one-file checkpoints with bit-exact
-resume), resizes the fleet at runtime via ``add_stations`` /
+:mod:`repro.stream.checkpoint` for checkpoints with bit-exact resume),
+resizes the fleet at runtime via ``add_stations`` /
 ``drop_stations``, and — under ``missing="impute"`` — accepts NaN
 readings as missing data instead of raising (the default
 ``missing="raise"`` rejects them with a clear error).
@@ -506,7 +506,7 @@ class StreamingDetector:
         Everything needed for bit-exact resume EXCEPT the autoencoder
         weights, which serialize via :mod:`repro.nn.serialization` — or
         use :func:`repro.stream.checkpoint.save_checkpoint` to bundle
-        both into one archive.
+        both into one checkpoint.
         """
         state: StateDict = {
             "tick": scalar(self.tick),

@@ -10,15 +10,14 @@ worker failover (respawn from snapshot + gap replay).
 * :class:`ShardedFleetEngine` — the multi-process
   :class:`~repro.stream.engine.ReplayDriver`: scatter blocks, gather
   decisions, one engine facade.
-* :func:`save_sharded_checkpoint` / :func:`load_sharded_checkpoint` —
-  per-shard member files under one manifest, with delta saves.
+
+Checkpoints use the one format of :mod:`repro.stream.checkpoint`: a
+sharded engine saves one member file per shard under the manifest,
+rewriting only shards that changed since their file was committed, and
+a manifest with two or more shards loads back as a
+:class:`ShardedFleetEngine` on the saved plan.
 """
 
-from repro.stream.shard.checkpoint import (
-    MANIFEST_NAME,
-    load_sharded_checkpoint,
-    save_sharded_checkpoint,
-)
 from repro.stream.shard.engine import (
     ShardedFleetEngine,
     ShardFailoverError,
@@ -27,11 +26,8 @@ from repro.stream.shard.engine import (
 from repro.stream.shard.plan import ShardPlan
 
 __all__ = [
-    "MANIFEST_NAME",
     "ShardFailoverError",
     "ShardPlan",
     "ShardWorkerError",
     "ShardedFleetEngine",
-    "load_sharded_checkpoint",
-    "save_sharded_checkpoint",
 ]

@@ -31,21 +31,10 @@ from repro.stream import checkpoint as ckpt
 from repro.stream.shard import _shm
 
 
-def _snapshot(engine) -> dict:
-    """The worker's full resumable state (shard-shaped)."""
-    state = {
-        "detector": engine.detector.state_dict(),
-        "mitigator": (
-            None if engine.mitigator is None else engine.mitigator.state_dict()
-        ),
-    }
-    return state
-
-
 def _build_engine(payload: dict):
     """Construct the shard-local engine from an init payload.
 
-    Two entry shapes:
+    Two entry shapes, both rebuilt by :func:`~repro.stream.checkpoint.build_engine`:
 
     * ``kind="full"`` — fleet-wide state plus this shard's member list;
       the worker builds the *full* pipeline, loads the full state, and
@@ -60,22 +49,12 @@ def _build_engine(payload: dict):
         tensors = _shm.read_weights(weights["shm"])
     else:
         tensors = weights["raw"]
-    autoencoder = ckpt.build_autoencoder(meta, tensors)
-    detector, mitigator = ckpt.build_pipeline(
-        meta, autoencoder, n_stations=int(payload["n_stations"])
+    engine = ckpt.build_engine(
+        meta,
+        ckpt.build_autoencoder(meta, tensors),
+        payload["state"],
+        int(payload["n_stations"]),
     )
-    detector.load_state_dict(payload["state"]["detector"])
-    if mitigator is not None:
-        mitigator.load_state_dict(payload["state"]["mitigator"])
-    # StreamCheckpoint.engine() preserves the restored fallback instead
-    # of letting the constructor re-derive it from the restored bounds.
-    engine = ckpt.StreamCheckpoint(
-        detector=detector,
-        mitigator=mitigator,
-        feedback=bool(payload["feedback"]),
-        extra={},
-        library={},
-    ).engine()
     if payload["kind"] == "full":
         complement = payload["complement"]
         if complement.size:
@@ -91,7 +70,7 @@ def worker_main(conn) -> None:
         if op != "init":
             raise RuntimeError(f"worker expected init, got {op!r}")
         engine = _build_engine(payload)
-        conn.send(("ready", _snapshot(engine) if payload["snapshot"] else None))
+        conn.send(("ready", ckpt.engine_state(engine) if payload["snapshot"] else None))
     except EOFError:
         return
     except BaseException:
@@ -119,7 +98,7 @@ def worker_main(conn) -> None:
                 engine.drop_stations(msg[1])
                 reply = None
             elif op == "state":
-                reply = _snapshot(engine)
+                reply = ckpt.engine_state(engine)
             elif op == "stop":
                 conn.send(("ok", None))
                 return

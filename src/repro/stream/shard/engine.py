@@ -33,8 +33,8 @@ mutating command since.  A worker that dies mid-run (OOM-killed,
 SIGKILL, crash) is respawned from the snapshot and the journal is
 replayed — the gap closes deterministically and the stream continues
 as if the worker had never died.  Checkpoints
-(:func:`repro.stream.shard.save_sharded_checkpoint`) refresh the
-snapshot and truncate the journal, bounding replay work.
+(:func:`repro.stream.checkpoint.save_checkpoint`) refresh the snapshot
+and truncate the journal, bounding replay work.
 """
 
 from __future__ import annotations
@@ -55,7 +55,10 @@ from repro.utils.rng import SeedLike
 
 
 class ShardWorkerError(RuntimeError):
-    """A shard worker's pipeline raised; the worker traceback is the message."""
+    """A shard worker's pipeline raised; the worker traceback is the message.
+
+    When a worker fails to start, ``shard`` names its shard index.
+    """
 
 
 class ShardFailoverError(RuntimeError):
@@ -113,7 +116,7 @@ class ShardedFleetEngine(ReplayDriver):
         is respawned and its gap replayed.  Disable for fire-and-forget
         throughput runs — a dead worker then raises
         :class:`ShardFailoverError`.  The journal grows until the next
-        checkpoint (:func:`~repro.stream.shard.save_sharded_checkpoint`)
+        checkpoint (:func:`~repro.stream.checkpoint.save_checkpoint`)
         truncates it; long-running deployments should checkpoint
         periodically.
     """
@@ -200,8 +203,11 @@ class ShardedFleetEngine(ReplayDriver):
         #: Last synchronized (state, n_local) per shard — the failover
         #: respawn baseline.
         self._snapshots: list[tuple | None] = [None] * plan.n_shards
-        #: Shards mutated since they were last written to a checkpoint.
-        self._dirty = [True] * plan.n_shards
+        #: Manifest entry of the checkpoint file holding each shard's
+        #: current state, and of the model file; ``None`` once the shard
+        #: changes (or before its first save).
+        self._saved: list[dict | None] = [None] * plan.n_shards
+        self._saved_model: dict | None = None
         self._closed = False
 
     def _start_workers(self, payloads: list[dict]) -> None:
@@ -212,7 +218,6 @@ class ShardedFleetEngine(ReplayDriver):
                 payload |= {
                     "meta": self._meta,
                     "weights": {"shm": descriptor},
-                    "feedback": self.feedback,
                     "snapshot": self.failover,
                 }
                 self._workers[s] = self._spawn(s, payload)
@@ -220,9 +225,11 @@ class ShardedFleetEngine(ReplayDriver):
             for s in range(self.n_shards):
                 status, reply = self._workers[s].conn.recv()
                 if status != "ready":
-                    raise ShardWorkerError(
+                    error = ShardWorkerError(
                         f"shard {s} worker failed to initialize:\n{reply}"
                     )
+                    error.shard = s
+                    raise error
                 if reply is not None:
                     self._snapshots[s] = (reply, int(self._members[s].size))
         except BaseException:
@@ -260,7 +267,7 @@ class ShardedFleetEngine(ReplayDriver):
         mp_context=None,
         failover: bool = True,
     ) -> "ShardedFleetEngine":
-        """Restore from per-shard states (the sharded-checkpoint loader)."""
+        """Restore from per-shard states (the checkpoint loader)."""
         engine = cls.__new__(cls)
         engine._init_common(meta, weights, plan, mp_context, failover)
         engine._tick = int(tick)
@@ -274,14 +281,6 @@ class ShardedFleetEngine(ReplayDriver):
                 }
             )
         engine._start_workers(payloads)
-        return engine
-
-    @classmethod
-    def from_checkpoint(cls, path, **kwargs) -> "ShardedFleetEngine":
-        """Resume from a sharded checkpoint directory (manifest + shards)."""
-        from repro.stream.shard.checkpoint import load_sharded_checkpoint
-
-        engine, _extra = load_sharded_checkpoint(path, **kwargs)
         return engine
 
     # ------------------------------------------------------------------
@@ -359,7 +358,7 @@ class ShardedFleetEngine(ReplayDriver):
         self._check_open()
         if self.failover:
             self._journal[shard].append(msg)
-        self._dirty[shard] = True
+        self._saved[shard] = None
         worker = self._workers[shard]
         worker.pending = msg
         try:
@@ -392,7 +391,7 @@ class ShardedFleetEngine(ReplayDriver):
         if mutating:
             if self.failover:
                 self._journal[shard].append(msg)
-            self._dirty[shard] = True
+            self._saved[shard] = None
         worker = self._workers[shard]
         try:
             worker.conn.send(msg)
@@ -445,7 +444,6 @@ class ShardedFleetEngine(ReplayDriver):
             "state": state,
             "meta": self._meta,
             "weights": {"raw": self._weights},
-            "feedback": self.feedback,
             "snapshot": False,
         }
         worker = self._spawn(shard, payload)
@@ -558,7 +556,7 @@ class ShardedFleetEngine(ReplayDriver):
                 # Global renumbering changed this shard's member indices
                 # even if it lost no stations — its checkpoint member
                 # (which records them) must be rewritten on the next save.
-                self._dirty[s] = True
+                self._saved[s] = None
             self._members[s] = renumbered
         self._n_stations -= int(stations.size)
 
@@ -575,11 +573,17 @@ class ShardedFleetEngine(ReplayDriver):
         """Global station indices owned by ``shard``, in local row order."""
         return self._members[shard].copy()
 
-    def _mark_clean(self, shard: int, state: dict) -> None:
-        """A checkpoint captured ``state``: new failover baseline."""
-        self._snapshots[shard] = (state, int(self._members[shard].size))
-        self._journal[shard].clear()
-        self._dirty[shard] = False
+    def _saved_as(self, model: dict, shards: list[dict], states: dict[int, dict]) -> None:
+        """A committed checkpoint holds this engine: remember its files.
+
+        ``states`` are the shard states just written or read; each
+        becomes that shard's failover baseline, truncating its journal.
+        """
+        self._saved_model = model
+        self._saved = list(shards)
+        for shard, state in states.items():
+            self._snapshots[shard] = (state, int(self._members[shard].size))
+            self._journal[shard].clear()
 
     # ------------------------------------------------------------------
     # observability

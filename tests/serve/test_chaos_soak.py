@@ -180,13 +180,13 @@ class TestSigtermResume:
     def test_sigterm_checkpoint_restart_is_bit_exact(self, small_autoencoder, tmp_path):
         n_stations, n_ticks, block, split = 6, 40, 8, 23
         fleet = synthesize_fleet(n_stations, n_ticks, seed=79)
-        pristine = tmp_path / "pristine.npz"
+        pristine = tmp_path / "pristine"
         save_checkpoint(pristine, build_engine(small_autoencoder, fleet))
-        serve_ckpt = tmp_path / "serve-final.npz"
+        serve_ckpt = tmp_path / "serve-final"
 
         async def phase1():
             server = IngestionServer(
-                load_checkpoint(pristine).engine(),
+                load_checkpoint(pristine)[0],
                 block_size=block,
                 lateness=3,
                 checkpoint_path=serve_ckpt,
@@ -224,7 +224,7 @@ class TestSigtermResume:
 
         async def phase2():
             server = IngestionServer.from_checkpoint(serve_ckpt, lateness=3)
-            assert server.block_size == block  # restored from the archive
+            assert server.block_size == block  # restored from the checkpoint
             await server.start()
             clients = []
             for station in range(n_stations):
@@ -252,5 +252,5 @@ class TestSigtermResume:
             for key in ("ticks", "flags", "scores", "missing", "mitigated")
         }
         np.testing.assert_array_equal(combined["ticks"], np.arange(n_ticks))
-        offline = load_checkpoint(pristine).engine().run(fleet, block_size=block)
+        offline = load_checkpoint(pristine)[0].run(fleet, block_size=block)
         assert_served_equals(combined, offline)

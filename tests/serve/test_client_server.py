@@ -5,6 +5,7 @@ No pytest-asyncio in the toolchain: each test drives its coroutine with
 """
 
 import asyncio
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,13 @@ from repro.serve import (
     IngestClient,
     IngestionServer,
     TcpTransport,
+)
+from repro.serve.protocol import (
+    FrameDecoder,
+    FrameType,
+    encode_frame,
+    pack_busy,
+    unpack_ack,
 )
 from repro.stream import synthesize_fleet
 
@@ -182,6 +190,59 @@ class TestFailureSemantics:
         served, client = run(scenario())
         assert served["flags"].shape[1] == 40
         assert not np.isnan(served["mitigated"]).any()
+
+    def test_infinite_busy_hint_never_parks_a_reading(self, small_autoencoder):
+        """Regression: a BUSY hint of ``inf`` used to schedule the
+        reading's retry at ``due == inf``, so it was never resent and
+        ``drain()`` hung.  The decoder now rejects the hint as a protocol
+        error: the client drops the session, reconnects and redelivers."""
+        fleet = synthesize_fleet(2, 8, seed=5)
+
+        class _InfiniteBusyOnce(TcpTransport):
+            """Turns the server's first ACK into a BUSY hinting ``inf``."""
+
+            rewritten = False
+
+            async def connect(self, timeout: float = 5.0) -> None:
+                await super().connect(timeout)
+                self.decoder = FrameDecoder()
+
+            async def read(self, timeout: float) -> bytes:
+                frames = []
+                for ftype, body in self.decoder.feed(await super().read(timeout)):
+                    if ftype is FrameType.ACK and not _InfiniteBusyOnce.rewritten:
+                        _InfiniteBusyOnce.rewritten = True
+                        station, seq, _status = unpack_ack(body)
+                        frames.append(pack_busy(station, seq, math.inf))
+                    else:
+                        frames.append(encode_frame(ftype, body))
+                return b"".join(frames)
+
+        class _WatchedClient(IngestClient):
+            def _on_frame(self, ftype, body):
+                super()._on_frame(ftype, body)
+                assert all(math.isfinite(p.due) for p in self._unacked.values())
+
+        async def scenario():
+            server = IngestionServer(build_engine(small_autoencoder, fleet), block_size=4)
+            await server.start()
+            async with _WatchedClient(
+                transport=_InfiniteBusyOnce("127.0.0.1", server.port),
+                client_id="c",
+                seed=0,
+                versions=(1,),
+            ) as client:
+                await send_fleet([client], fleet, lambda station: 0)
+                await client.drain(timeout=10)
+                reconnects = client.reconnect_count
+            await server.finish()
+            return server.served(), reconnects
+
+        served, reconnects = run(scenario())
+        assert _InfiniteBusyOnce.rewritten
+        assert reconnects >= 1
+        offline = build_engine(small_autoencoder, fleet).run(fleet, block_size=4)
+        np.testing.assert_array_equal(served["flags"], offline.flags)
 
     def test_reject_policy_sends_busy_on_full_queue(self, small_autoencoder):
         fleet = synthesize_fleet(4, 30, seed=9)

@@ -5,6 +5,7 @@ decoder reports it and stays synchronized — while a bad magic byte or
 an absurd length is a *stream* problem and kills the connection.
 """
 
+import json
 import math
 import struct
 
@@ -295,6 +296,36 @@ class TestNegotiationCodecs:
         assert pack_welcome("s1", 32) == pack_welcome(
             "s1", 32, version=None, max_batch=None
         )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_inflight", 0),
+            ("max_inflight", -3),
+            ("max_inflight", True),
+            ("max_inflight", 2.5),
+            ("max_inflight", "64"),
+            ("max_batch", 0),
+            ("max_batch", False),
+            ("max_batch", None),
+        ],
+    )
+    def test_welcome_rejects_a_budget_that_is_not_a_positive_int(self, field, value):
+        payload = {"session": "s", "max_inflight": 8, "version": 2, "max_batch": 16}
+        body = json.dumps(payload | {field: value}).encode()
+        with pytest.raises(ProtocolError, match=field):
+            unpack_welcome(body)
+
+    @pytest.mark.parametrize("version", [0, 3, True, 2.0, "2", None])
+    def test_welcome_rejects_an_unknown_version(self, version):
+        body = json.dumps({"session": "s", "max_inflight": 8, "version": version}).encode()
+        with pytest.raises(ProtocolError, match="version"):
+            unpack_welcome(body)
+
+    @pytest.mark.parametrize("hint", [math.inf, -math.inf, math.nan, -1.0])
+    def test_busy_rejects_an_unusable_retry_hint(self, hint):
+        with pytest.raises(ProtocolError, match="retry_after"):
+            unpack_busy(struct.pack(">IIf", 3, 9, hint))
 
 
 class TestControlCodecs:

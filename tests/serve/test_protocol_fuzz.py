@@ -2,12 +2,16 @@
 
 Every byte a peer sends crosses a trust boundary, so the decoders are
 held to one contract on *arbitrary* input: they return well-typed
-results or raise :class:`ProtocolError` — never any other exception,
-which would escape the connection handler instead of closing the
-connection cleanly.  Example counts are bounded so the suite stays fast.
+results whose values are in range, or raise :class:`ProtocolError` —
+never any other exception, which would escape the connection handler
+instead of closing the connection cleanly, and never a value (a zero
+inflight budget, an infinite retry hint) that a caller acting on it
+would misbehave with.  Example counts are bounded so the suite stays
+fast.
 """
 
 import json
+import math
 import struct
 
 from hypothesis import given, settings
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.serve.protocol import (
     MAGIC,
+    PROTOCOL_VERSIONS,
     AckStatus,
     FrameDecoder,
     FrameType,
@@ -167,7 +172,17 @@ def _json_bodies():
     keyed = st.fixed_dictionaries(
         {},
         optional={
-            key: values for key in ("client_id", "max_inflight", "ok", "cid", "v", "token")
+            key: values
+            for key in (
+                "client_id",
+                "max_inflight",
+                "max_batch",
+                "version",
+                "ok",
+                "cid",
+                "v",
+                "token",
+            )
         },
     )
     return st.one_of(values, keyed).map(lambda v: json.dumps(v).encode())
@@ -197,11 +212,59 @@ DECODERS = [
 ]
 
 
+def _positive_int(value) -> bool:
+    return type(value) is int and value >= 1
+
+
+def _assert_in_range(decode, decoded) -> None:
+    """The values a caller acts on are usable as decoded."""
+    if decode is unpack_welcome:
+        assert _positive_int(decoded["max_inflight"])
+        assert _positive_int(decoded.get("max_batch", 1))
+        assert decoded.get("version", 1) in PROTOCOL_VERSIONS
+        assert type(decoded.get("version", 1)) is int
+    elif decode is unpack_busy:
+        retry_after = decoded[2]
+        assert retry_after is None or (math.isfinite(retry_after) and retry_after >= 0)
+    elif decode is unpack_ack:
+        assert isinstance(decoded[2], AckStatus)
+    elif decode in (unpack_control, unpack_control_ack):
+        assert type(decoded["cid"]) is int
+
+
 class TestBodyDecoderFuzz:
     @FUZZ
     @given(st.sampled_from(DECODERS), bodies)
-    def test_body_decoders_return_or_raise_protocol_error(self, decode, body):
+    def test_body_decoders_return_in_range_or_raise_protocol_error(self, decode, body):
         try:
-            decode(body)
+            decoded = decode(body)
         except ProtocolError:
-            pass
+            return
+        _assert_in_range(decode, decoded)
+
+    @FUZZ
+    @given(
+        st.fixed_dictionaries(
+            {"session": small_text, "max_inflight": st.integers(-2, 4) | st.floats()},
+            optional={
+                "max_batch": st.integers(-2, 4) | st.booleans() | st.none(),
+                "version": st.integers(0, 3) | st.floats(0, 3) | st.booleans(),
+            },
+        )
+    )
+    def test_welcome_values_are_in_range_or_rejected(self, payload):
+        """WELCOME bodies built near the valid range's edges."""
+        try:
+            decoded = unpack_welcome(json.dumps(payload).encode())
+        except ProtocolError:
+            return
+        _assert_in_range(unpack_welcome, decoded)
+
+    @FUZZ
+    @given(u32, u32, st.floats(width=32))
+    def test_busy_hint_is_in_range_or_rejected(self, station, seq, hint):
+        try:
+            decoded = unpack_busy(struct.pack(">IIf", station, seq, hint))
+        except ProtocolError:
+            return
+        _assert_in_range(unpack_busy, decoded)

@@ -16,7 +16,8 @@ from repro.serve import (
     sign_token,
 )
 from repro.stream import synthesize_fleet
-from repro.stream.shard import MANIFEST_NAME, ShardedFleetEngine
+from repro.stream.checkpoint import MANIFEST_NAME
+from repro.stream.shard import ShardedFleetEngine
 
 from tests.serve.conftest import build_engine
 

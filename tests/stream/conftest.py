@@ -10,14 +10,20 @@ are bit-identical only while the BLAS kernels underneath don't
 specialize on batch shape, which holds for these unit counts (regression
 coverage in ``tests/stream/test_stream_parity.py``) and is the size
 regime the shard-parity contract is stated for.
+
+The checkpoint suites share the write-failure and archive-edit helpers
+at the bottom.
 """
 
+import hashlib
 import io
+import json
 
 import numpy as np
 import pytest
 
 from repro.anomaly.autoencoder import AutoencoderConfig, LSTMAutoencoder
+from repro.stream import checkpoint as ckpt
 from repro.stream import (
     StreamingDetector,
     StreamingMinMaxScaler,
@@ -59,14 +65,59 @@ def build_fleet_engine(
     return StreamReplayEngine(detector, mitigator=mitigator)
 
 
-def savez_killed_halfway(monkeypatch) -> None:
-    """Make ``np.savez`` write half an archive, then fail like a kill."""
-    real_savez = np.savez
+def _killed_mid_save() -> None:
+    raise OSError("killed mid-save")
 
-    def killed(file, **arrays):
-        buffer = io.BytesIO()
-        real_savez(buffer, **arrays)
-        file.write(buffer.getvalue()[: buffer.tell() // 2])
-        raise OSError("killed mid-save")
 
-    monkeypatch.setattr(np, "savez", killed)
+def fail_nth_write(monkeypatch, n: int, fail=_killed_mid_save) -> None:
+    """Make the ``n``-th checkpoint file write die halfway through.
+
+    The write gets half its bytes into the temp file, then ``fail()``
+    runs: by default it raises ``OSError("killed mid-save")``; a real
+    kill passes a function that SIGKILLs the process.
+    """
+    real_write_atomic = ckpt.write_atomic
+    calls = 0
+
+    def flaky(path, write):
+        nonlocal calls
+        calls += 1
+        if calls != n:
+            return real_write_atomic(path, write)
+
+        def half(fh):
+            buffer = io.BytesIO()
+            write(buffer)
+            fh.write(buffer.getvalue()[: buffer.tell() // 2])
+            fh.flush()
+            fail()
+
+        return real_write_atomic(path, half)
+
+    monkeypatch.setattr(ckpt, "write_atomic", flaky)
+
+
+def replace_file(ckpt_dir, name: str, data: bytes) -> None:
+    """Overwrite the listed file ``name`` and re-hash its manifest entry.
+
+    The loader then gets past its size and checksum checks to the
+    file's contents.
+    """
+    (ckpt_dir / name).write_bytes(data)
+    manifest_path = ckpt_dir / ckpt.MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    for entry in [manifest["model"], *manifest["shards"], manifest["extra"]]:
+        if entry is not None and entry["file"] == name:
+            entry["bytes"] = len(data)
+            entry["sha256"] = hashlib.sha256(data).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def rewrite_archive(ckpt_dir, name: str, mutate) -> None:
+    """Apply ``mutate`` to the arrays of archive ``name``; re-save and re-hash it."""
+    with np.load(ckpt_dir / name, allow_pickle=False) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    mutate(arrays)
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    replace_file(ckpt_dir, name, buffer.getvalue())

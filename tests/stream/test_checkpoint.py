@@ -1,18 +1,32 @@
-"""Checkpoint/restore: bit-exact resume parity for the whole pipeline.
+"""Checkpoint/restore: one manifest directory, bit-exact resume for both engines.
 
 The operational contract: save the pipeline at ANY tick/block boundary,
-reload it in a fresh process (here: fresh objects rebuilt purely from
-the archive bytes), and the remaining stream must produce flags, scores
-and mitigated values **bit-identical** to an uninterrupted run — with
-closed-loop feedback, adaptive thresholds and every mitigation policy.
+reload it (fresh objects rebuilt purely from the directory's bytes),
+and the remaining stream must produce flags, scores and mitigated
+values **bit-identical** to an uninterrupted run — with closed-loop
+feedback, adaptive thresholds and every mitigation policy, in process
+or sharded.  A save that fails or is killed at any point must leave the
+previous checkpoint loadable.
 """
+
+import json
+import multiprocessing
+import os
+import shutil
+import signal
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.anomaly.autoencoder import AutoencoderConfig, LSTMAutoencoder
+import repro
 from repro.stream.buffers import RingBufferBank
-from repro.stream.checkpoint import load_checkpoint, save_checkpoint
+from repro.stream.checkpoint import (
+    MANIFEST_NAME,
+    CheckpointError,
+    load_checkpoint,
+    save_checkpoint,
+)
 from repro.stream.detector import StreamingDetector
 from repro.stream.engine import StreamReplayEngine, synthesize_fleet
 from repro.stream.mitigation import (
@@ -22,22 +36,30 @@ from repro.stream.mitigation import (
 )
 from repro.stream.quantile import P2QuantileBank
 from repro.stream.scaler import StreamingMinMaxScaler
+from repro.stream.shard import ShardedFleetEngine
 
-from .conftest import savez_killed_halfway
+from .conftest import build_fleet_engine, fail_nth_write, rewrite_archive
+
+N_STATIONS = 9
 
 
 @pytest.fixture(scope="module")
-def small_autoencoder():
-    config = AutoencoderConfig(
-        sequence_length=8, encoder_units=(6, 3), decoder_units=(3, 6), dropout=0.0
-    )
-    return LSTMAutoencoder(config, seed=11)
+def train_fleet():
+    return synthesize_fleet(N_STATIONS, 60, seed=41)
+
+
+@pytest.fixture(scope="module")
+def live_fleet():
+    return synthesize_fleet(N_STATIONS, 24, seed=42, dropout_rate=0.05)
+
+
+@pytest.fixture(scope="module")
+def reference(shard_autoencoder, train_fleet, live_fleet):
+    return build_fleet_engine(shard_autoencoder, train_fleet).run(live_fleet, block_size=4)
 
 
 def _pipeline(autoencoder, fleet, mitigator, threshold, missing="raise"):
-    scaler = StreamingMinMaxScaler.from_bounds(
-        np.nanmin(fleet, axis=1), np.nanmax(fleet, axis=1)
-    )
+    scaler = StreamingMinMaxScaler.from_bounds(np.nanmin(fleet, axis=1), np.nanmax(fleet, axis=1))
     detector = StreamingDetector(
         autoencoder,
         fleet.shape[0],
@@ -49,6 +71,12 @@ def _pipeline(autoencoder, fleet, mitigator, threshold, missing="raise"):
     if threshold is None:
         detector.calibrate(fleet)
     return StreamReplayEngine(detector, mitigator=mitigator)
+
+
+def _fleet_engine(autoencoder, train_fleet, n_shards):
+    """The calibrated fleet pipeline, in process (one shard) or sharded."""
+    pipeline = build_fleet_engine(autoencoder, train_fleet)
+    return pipeline if n_shards == 1 else ShardedFleetEngine(pipeline, n_shards, seed=6)
 
 
 def _concat(first, second):
@@ -67,110 +95,237 @@ def _assert_resumed_equals(reference, resumed):
     np.testing.assert_array_equal(reference.missing, resumed["missing"])
 
 
+def _assert_blocks_match(engine, live_fleet, reference, start):
+    """Step 4-wide blocks from ``start`` to the end, asserting parity per block."""
+    for t in range(start, live_fleet.shape[1], 4):
+        flags, scores, missing, mitigated = engine.step_block(live_fleet[:, t : t + 4])
+        sl = slice(t, t + 4)
+        assert np.array_equal(flags, reference.flags[:, sl])
+        assert np.array_equal(scores, reference.scores[:, sl], equal_nan=True)
+        assert np.array_equal(missing, reference.missing[:, sl])
+        assert np.array_equal(mitigated, reference.mitigated[:, sl], equal_nan=True)
+
+
+def _manifest(path):
+    return json.loads((path / MANIFEST_NAME).read_text())
+
+
+def _listed(path):
+    """Names of the data files the committed manifest references."""
+    manifest = _manifest(path)
+    entries = [manifest["model"], *manifest["shards"], manifest["extra"]]
+    return {entry["file"] for entry in entries if entry is not None}
+
+
+def _mtimes(path):
+    return {f.name: f.stat().st_mtime_ns for f in path.iterdir() if f.name != MANIFEST_NAME}
+
+
+def _contents(path):
+    return {f.name: f.read_bytes() for f in path.iterdir()}
+
+
 class TestResumeParity:
     """Save/restore at block boundaries == uninterrupted run, bit for bit."""
 
     @pytest.mark.parametrize("policy", ["hold_last_good", "causal_linear", "seasonal_hold"])
     @pytest.mark.parametrize("block_size", [1, 7])
     def test_every_boundary_roundtrip_is_bit_exact(
-        self, small_autoencoder, tmp_path, policy, block_size
+        self, shard_autoencoder, tmp_path, policy, block_size
     ):
         """Property test: for random fleets, EVERY block boundary is a
         valid resume point — closed loop, adaptive (p2) thresholds."""
         rng = np.random.default_rng(hash((policy, block_size)) % 2**32)
         seed = int(rng.integers(2**31))
         fleet = synthesize_fleet(3, 42, seed=seed)
-        reference = _pipeline(small_autoencoder, fleet, policy, "p2").run(
+        reference = _pipeline(shard_autoencoder, fleet, policy, "p2").run(
             fleet, block_size=block_size
         )
         n_ticks = fleet.shape[1]
         for cut in range(block_size, n_ticks, block_size):
-            engine = _pipeline(small_autoencoder, fleet, policy, "p2")
+            engine = _pipeline(shard_autoencoder, fleet, policy, "p2")
             first = engine.run(fleet[:, :cut], block_size=block_size)
             path = save_checkpoint(tmp_path / f"{policy}-{block_size}-{cut}", engine)
-            restored = load_checkpoint(path).engine()
+            restored, _extra = load_checkpoint(path)
             assert restored.detector.tick == cut
             second = restored.run(fleet[:, cut:], block_size=block_size)
             _assert_resumed_equals(reference, _concat(first, second))
 
-    def test_resume_with_fixed_calibrated_thresholds(
-        self, small_autoencoder, tmp_path
-    ):
+    def test_resume_with_fixed_calibrated_thresholds(self, shard_autoencoder, tmp_path):
         fleet = synthesize_fleet(4, 40, seed=9)
-        reference = _pipeline(small_autoencoder, fleet, "hold_last_good", None).run(
+        reference = _pipeline(shard_autoencoder, fleet, "hold_last_good", None).run(
             fleet, block_size=4
         )
-        engine = _pipeline(small_autoencoder, fleet, "hold_last_good", None)
+        engine = _pipeline(shard_autoencoder, fleet, "hold_last_good", None)
         first = engine.run(fleet[:, :20], block_size=4)
-        path = save_checkpoint(tmp_path / "fixed", engine)
-        second = load_checkpoint(path).engine().run(fleet[:, 20:], block_size=4)
+        restored, _extra = load_checkpoint(save_checkpoint(tmp_path / "fixed", engine))
+        second = restored.run(fleet[:, 20:], block_size=4)
         _assert_resumed_equals(reference, _concat(first, second))
 
-    def test_resume_with_missing_data(self, small_autoencoder, tmp_path):
+    def test_resume_with_missing_data(self, shard_autoencoder, tmp_path):
         fleet = synthesize_fleet(4, 40, seed=2, dropout_rate=0.1)
         reference = _pipeline(
-            small_autoencoder, fleet, "seasonal_hold", 0.01, missing="impute"
+            shard_autoencoder, fleet, "seasonal_hold", 0.01, missing="impute"
         ).run(fleet, block_size=5)
-        engine = _pipeline(
-            small_autoencoder, fleet, "seasonal_hold", 0.01, missing="impute"
-        )
+        engine = _pipeline(shard_autoencoder, fleet, "seasonal_hold", 0.01, missing="impute")
         first = engine.run(fleet[:, :25], block_size=5)
-        path = save_checkpoint(tmp_path / "missing", engine)
-        restored = load_checkpoint(path)
+        restored, _extra = load_checkpoint(save_checkpoint(tmp_path / "missing", engine))
         np.testing.assert_array_equal(
             restored.detector.missing_counts, engine.detector.missing_counts
         )
-        second = restored.engine().run(fleet[:, 25:], block_size=5)
+        second = restored.run(fleet[:, 25:], block_size=5)
         _assert_resumed_equals(reference, _concat(first, second))
 
-    def test_detector_only_checkpoint(self, small_autoencoder, tmp_path):
+    def test_detector_only_pipeline(self, shard_autoencoder, tmp_path):
         fleet = synthesize_fleet(3, 30, seed=5)
-        engine = _pipeline(small_autoencoder, fleet, None, 0.01)
+        engine = _pipeline(shard_autoencoder, fleet, None, 0.01)
         engine.run(fleet[:, :15])
-        path = save_checkpoint(tmp_path / "detector-only", engine.detector)
-        restored = load_checkpoint(path)
+        path = save_checkpoint(tmp_path / "detector-only", StreamReplayEngine(engine.detector))
+        restored, _extra = load_checkpoint(path)
         assert restored.mitigator is None
-        second = restored.engine().run(fleet[:, 15:])
-        reference = _pipeline(small_autoencoder, fleet, None, 0.01).run(fleet)
+        second = restored.run(fleet[:, 15:])
+        reference = _pipeline(shard_autoencoder, fleet, None, 0.01).run(fleet)
         np.testing.assert_array_equal(reference.flags[:, 15:], second.flags)
         np.testing.assert_array_equal(reference.scores[:, 15:], second.scores)
 
 
-class TestArchiveContract:
-    def test_extra_arrays_roundtrip(self, small_autoencoder, tmp_path):
-        fleet = synthesize_fleet(2, 20, seed=1)
-        engine = _pipeline(small_autoencoder, fleet, "hold_last_good", 0.01)
-        engine.run(fleet[:, :10])
-        path = save_checkpoint(
-            tmp_path / "extra", engine, extra={"position": np.asarray(10)}
-        )
-        assert path.suffix == ".npz"
-        restored = load_checkpoint(path)
-        assert int(restored.extra["position"]) == 10
-
-    def test_restored_engine_keeps_serialized_fallback(
-        self, small_autoencoder, tmp_path
+class TestShardedResume:
+    def test_three_shard_resume_is_bit_exact(
+        self, tmp_path, shard_autoencoder, train_fleet, live_fleet, reference
     ):
-        """Regression: StreamCheckpoint.engine() must reproduce the
-        SAVED fallback exactly (wiring is replay-step-deterministic, so
-        re-deriving it from restored bounds must be a no-op — never a
-        divergence from the uninterrupted run)."""
+        """Save at tick 12, resume, finish: equals the uninterrupted run."""
+        ckpt_dir = tmp_path / "fleet-ckpt"
+        with _fleet_engine(shard_autoencoder, train_fleet, 3) as engine:
+            for t in range(0, 12, 4):
+                engine.step_block(live_fleet[:, t : t + 4])
+            save_checkpoint(ckpt_dir, engine, extra={"note": np.asarray([12])})
+
+        restored, extra = load_checkpoint(ckpt_dir)
+        assert extra["note"].tolist() == [12]
+        with restored:
+            assert isinstance(restored, ShardedFleetEngine)
+            assert restored.tick == 12
+            assert restored.n_shards == 3
+            _assert_blocks_match(restored, live_fleet, reference, start=12)
+
+    def test_two_shards_restore_a_sharded_engine(
+        self, tmp_path, shard_autoencoder, train_fleet, live_fleet
+    ):
+        ckpt_dir = tmp_path / "ckpt"
+        with _fleet_engine(shard_autoencoder, train_fleet, 2) as engine:
+            engine.step_block(live_fleet[:, :4])
+            save_checkpoint(ckpt_dir, engine)
+        restored, extra = load_checkpoint(ckpt_dir)
+        assert extra == {}
+        with restored:
+            assert isinstance(restored, ShardedFleetEngine)
+            assert restored.tick == 4
+            assert restored.n_stations == N_STATIONS
+
+    def test_save_truncates_failover_journal(
+        self, tmp_path, shard_autoencoder, train_fleet, live_fleet
+    ):
+        with _fleet_engine(shard_autoencoder, train_fleet, 2) as engine:
+            engine.step_block(live_fleet[:, :4])
+            assert any(engine._journal)
+            save_checkpoint(tmp_path / "ckpt", engine)
+            assert not any(engine._journal)
+
+
+class TestManifest:
+    def test_in_process_engine_is_the_one_shard_case(
+        self, tmp_path, shard_autoencoder, train_fleet, live_fleet
+    ):
+        engine = _fleet_engine(shard_autoencoder, train_fleet, 1)
+        engine.step_block(live_fleet[:, :4])
+        ckpt_dir = save_checkpoint(tmp_path / "ckpt", engine)
+        manifest = _manifest(ckpt_dir)
+        assert manifest["format"] == "repro.stream.checkpoint"
+        assert manifest["tick"] == 4
+        assert manifest["assignment"] == [0] * N_STATIONS
+        assert len(manifest["shards"]) == 1
+        assert manifest["extra"] is None
+        member = np.load(ckpt_dir / manifest["shards"][0]["file"])
+        assert member["members"].tolist() == list(range(N_STATIONS))
+        assert sorted(os.listdir(ckpt_dir)) == sorted(_listed(ckpt_dir) | {MANIFEST_NAME})
+
+    def test_sharded_manifest_contents(self, tmp_path, shard_autoencoder, train_fleet, live_fleet):
+        ckpt_dir = tmp_path / "ckpt"
+        with _fleet_engine(shard_autoencoder, train_fleet, 3) as engine:
+            engine.step_block(live_fleet[:, :4])
+            save_checkpoint(ckpt_dir, engine)
+            assignment = engine.plan.assignment.tolist()
+        manifest = _manifest(ckpt_dir)
+        assert manifest["tick"] == 4
+        assert manifest["assignment"] == assignment
+        assert [e["file"] for e in manifest["shards"]] == [f"shard-{s:04d}-0.npz" for s in range(3)]
+        for entry in [manifest["model"], *manifest["shards"]]:
+            assert (ckpt_dir / entry["file"]).stat().st_size == entry["bytes"]
+
+    def test_extra_arrays_roundtrip(self, shard_autoencoder, tmp_path):
+        fleet = synthesize_fleet(2, 20, seed=1)
+        engine = _pipeline(shard_autoencoder, fleet, "hold_last_good", 0.01)
+        engine.run(fleet[:, :10])
+        path = save_checkpoint(tmp_path / "extra", engine, extra={"position": np.asarray(10)})
+        assert path == tmp_path / "extra"
+        _restored, extra = load_checkpoint(path)
+        assert int(extra["position"]) == 10
+
+    def test_save_records_library_metadata(self, shard_autoencoder, tmp_path):
+        fleet = synthesize_fleet(2, 20, seed=4)
+        path = save_checkpoint(
+            tmp_path / "prov", _pipeline(shard_autoencoder, fleet, "hold_last_good", None)
+        )
+        library = _manifest(path)["library"]
+        assert library["version"] == repro.__version__
+        assert library["numpy"] == np.__version__
+        assert library["created_unix"] > 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            load_checkpoint(path)
+
+    def test_cross_version_load_warns_but_loads(self, shard_autoencoder, tmp_path):
+        fleet = synthesize_fleet(2, 20, seed=4)
+        engine = _pipeline(shard_autoencoder, fleet, "hold_last_good", None)
+        engine.run(fleet, block_size=5)
+        path = save_checkpoint(tmp_path / "prov", engine)
+        manifest = _manifest(path)
+        manifest["library"]["version"] = "0.0.1"
+        (path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.warns(RuntimeWarning, match="written by repro 0.0.1"):
+            restored, _extra = load_checkpoint(path)
+        assert restored.detector.tick == 20  # state still restored in full
+
+    def test_manifest_without_provenance_loads_silently(self, shard_autoencoder, tmp_path):
+        fleet = synthesize_fleet(2, 20, seed=4)
+        path = save_checkpoint(
+            tmp_path / "prov", _pipeline(shard_autoencoder, fleet, "hold_last_good", None)
+        )
+        manifest = _manifest(path)
+        del manifest["library"]
+        (path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            load_checkpoint(path)
+
+
+class TestPipelineContract:
+    def test_restored_engine_keeps_serialized_fallback(self, shard_autoencoder, tmp_path):
+        """Regression: the restore must reproduce the SAVED fallback
+        exactly (wiring is replay-step-deterministic, so re-deriving it
+        from restored bounds must be a no-op — never a divergence from
+        the uninterrupted run)."""
         fleet = synthesize_fleet(2, 30, seed=6)
         scaler = StreamingMinMaxScaler(2)  # unfitted at engine build
-        detector = StreamingDetector(
-            small_autoencoder, 2, scaler=scaler, threshold=0.5
-        )
+        detector = StreamingDetector(shard_autoencoder, 2, scaler=scaler, threshold=0.5)
         engine = StreamReplayEngine(detector, "hold_last_good")
         assert not np.isfinite(engine.mitigator.fallback).any()
         engine.run(fleet[:, :15])  # per-step wiring has filled it now
         assert np.isfinite(engine.mitigator.fallback).all()
-        restored = load_checkpoint(save_checkpoint(tmp_path / "wire", engine))
-        resumed = restored.engine()
-        np.testing.assert_array_equal(
-            resumed.mitigator.fallback, engine.mitigator.fallback
-        )
+        resumed, _extra = load_checkpoint(save_checkpoint(tmp_path / "wire", engine))
+        np.testing.assert_array_equal(resumed.mitigator.fallback, engine.mitigator.fallback)
 
-    def test_resume_parity_with_live_scaler(self, small_autoencoder, tmp_path):
+    def test_resume_parity_with_live_scaler(self, shard_autoencoder, tmp_path):
         """Uninterrupted vs. checkpoint-resumed replay over a LIVE
         (initially unfitted, adapting) scaler: identical outputs."""
         fleet = synthesize_fleet(3, 40, seed=13)
@@ -178,44 +333,39 @@ class TestArchiveContract:
 
         def engine():
             detector = StreamingDetector(
-                small_autoencoder, 3, scaler=StreamingMinMaxScaler(3), threshold=0.05
+                shard_autoencoder, 3, scaler=StreamingMinMaxScaler(3), threshold=0.05
             )
             return StreamReplayEngine(detector, "hold_last_good")
 
         reference = engine().run(fleet, block_size=4)
         live = engine()
         first = live.run(fleet[:, :20], block_size=4)
-        restored = load_checkpoint(save_checkpoint(tmp_path / "live", live))
-        second = restored.engine().run(fleet[:, 20:], block_size=4)
+        restored, _extra = load_checkpoint(save_checkpoint(tmp_path / "live", live))
+        second = restored.run(fleet[:, 20:], block_size=4)
         _assert_resumed_equals(reference, _concat(first, second))
 
-    def test_feedback_flag_roundtrips(self, small_autoencoder, tmp_path):
+    def test_feedback_flag_roundtrips(self, shard_autoencoder, tmp_path):
         fleet = synthesize_fleet(2, 20, seed=1)
         scaler = StreamingMinMaxScaler.from_bounds(fleet.min(axis=1), fleet.max(axis=1))
-        detector = StreamingDetector(small_autoencoder, 2, scaler=scaler, threshold=0.5)
+        detector = StreamingDetector(shard_autoencoder, 2, scaler=scaler, threshold=0.5)
         engine = StreamReplayEngine(detector, "hold_last_good", feedback=False)
-        restored = load_checkpoint(save_checkpoint(tmp_path / "fb", engine))
+        restored, _extra = load_checkpoint(save_checkpoint(tmp_path / "fb", engine))
         assert restored.feedback is False
-        assert restored.engine().feedback is False
 
-    def test_mitigator_constructor_params_roundtrip(self, small_autoencoder, tmp_path):
+    def test_mitigator_constructor_params_roundtrip(self, shard_autoencoder, tmp_path):
         fleet = synthesize_fleet(2, 20, seed=1)
         scaler = StreamingMinMaxScaler.from_bounds(fleet.min(axis=1), fleet.max(axis=1))
-        detector = StreamingDetector(small_autoencoder, 2, scaler=scaler, threshold=0.5)
-        engine = StreamReplayEngine(
-            detector, CausalLinearMitigator(2, max_slope_ticks=3)
-        )
-        restored = load_checkpoint(save_checkpoint(tmp_path / "params", engine))
+        detector = StreamingDetector(shard_autoencoder, 2, scaler=scaler, threshold=0.5)
+        engine = StreamReplayEngine(detector, CausalLinearMitigator(2, max_slope_ticks=3))
+        restored, _extra = load_checkpoint(save_checkpoint(tmp_path / "params", engine))
         assert isinstance(restored.mitigator, CausalLinearMitigator)
         assert restored.mitigator.max_slope_ticks == 3
-        engine2 = StreamReplayEngine(
-            detector, SeasonalHoldMitigator(2, period=6)
-        )
-        restored2 = load_checkpoint(save_checkpoint(tmp_path / "params2", engine2))
+        engine2 = StreamReplayEngine(detector, SeasonalHoldMitigator(2, period=6))
+        restored2, _extra = load_checkpoint(save_checkpoint(tmp_path / "params2", engine2))
         assert isinstance(restored2.mitigator, SeasonalHoldMitigator)
         assert restored2.mitigator.period == 6
 
-    def test_custom_mitigator_rejected_at_save_time(self, small_autoencoder, tmp_path):
+    def test_custom_mitigator_rejected_at_save_time(self, shard_autoencoder, tmp_path):
         class Custom(StreamingMitigator):
             name = "custom"
 
@@ -224,16 +374,10 @@ class TestArchiveContract:
 
         fleet = synthesize_fleet(2, 20, seed=1)
         scaler = StreamingMinMaxScaler.from_bounds(fleet.min(axis=1), fleet.max(axis=1))
-        detector = StreamingDetector(small_autoencoder, 2, scaler=scaler, threshold=0.5)
+        detector = StreamingDetector(shard_autoencoder, 2, scaler=scaler, threshold=0.5)
         engine = StreamReplayEngine(detector, Custom(2))
         with pytest.raises(ValueError, match="built-in policies"):
             save_checkpoint(tmp_path / "custom", engine)
-
-    def test_not_a_checkpoint_rejected(self, tmp_path):
-        path = tmp_path / "junk.npz"
-        np.savez(path, junk=np.zeros(3))
-        with pytest.raises(ValueError, match="not a stream checkpoint"):
-            load_checkpoint(path)
 
 
 class TestComponentStateDicts:
@@ -294,173 +438,304 @@ class TestComponentStateDicts:
         with pytest.raises(KeyError, match="heights"):
             bank.load_state_dict(state)
 
-    def test_detector_structure_mismatch_rejected(self, small_autoencoder):
+    def test_detector_structure_mismatch_rejected(self, shard_autoencoder):
         fleet = synthesize_fleet(2, 20, seed=1)
         scaler = StreamingMinMaxScaler.from_bounds(fleet.min(axis=1), fleet.max(axis=1))
-        with_scaler = StreamingDetector(small_autoencoder, 2, scaler=scaler, threshold=0.5)
-        without = StreamingDetector(small_autoencoder, 2, threshold=0.5)
+        with_scaler = StreamingDetector(shard_autoencoder, 2, scaler=scaler, threshold=0.5)
+        without = StreamingDetector(shard_autoencoder, 2, threshold=0.5)
         with pytest.raises(ValueError, match="unexpected"):
             without.load_state_dict(with_scaler.state_dict())
 
-def _rewrite_meta(path, mutate):
-    """Reload an archive, apply ``mutate`` to its meta dict, save in place."""
-    import json
 
-    with np.load(path, allow_pickle=False) as archive:
-        arrays = {key: archive[key] for key in archive.files}
-    meta = json.loads(str(arrays["meta"]))
-    mutate(meta)
-    arrays["meta"] = np.asarray(json.dumps(meta))
-    np.savez(path, **arrays)
+class TestMemberReuse:
+    def test_idle_resave_leaves_members_untouched(
+        self, tmp_path, shard_autoencoder, train_fleet, live_fleet
+    ):
+        ckpt_dir = tmp_path / "ckpt"
+        with _fleet_engine(shard_autoencoder, train_fleet, 3) as engine:
+            engine.step_block(live_fleet[:, :4])
+            save_checkpoint(ckpt_dir, engine)
+            before = _contents(ckpt_dir)
+            mtimes = _mtimes(ckpt_dir)
+            manifest_before = (ckpt_dir / MANIFEST_NAME).stat().st_mtime_ns
+            save_checkpoint(ckpt_dir, engine)
+        assert _mtimes(ckpt_dir) == mtimes
+        after = _contents(ckpt_dir)
+        assert {name: after[name] for name in mtimes} == {name: before[name] for name in mtimes}
+        # The manifest itself commits every save.
+        assert (ckpt_dir / MANIFEST_NAME).stat().st_mtime_ns >= manifest_before
+
+    def test_loaded_engine_reuses_the_files_it_loaded(
+        self, tmp_path, shard_autoencoder, train_fleet, live_fleet
+    ):
+        ckpt_dir = tmp_path / "ckpt"
+        with _fleet_engine(shard_autoencoder, train_fleet, 3) as engine:
+            engine.step_block(live_fleet[:, :4])
+            save_checkpoint(ckpt_dir, engine)
+        mtimes = _mtimes(ckpt_dir)
+        restored, _extra = load_checkpoint(ckpt_dir)
+        with restored:
+            save_checkpoint(ckpt_dir, restored)
+        assert _mtimes(ckpt_dir) == mtimes
+
+    def test_partial_churn_rewrites_only_dirty_shards(
+        self, tmp_path, shard_autoencoder, train_fleet, live_fleet
+    ):
+        """An add touches the least-loaded shard; only its file rewrites."""
+        ckpt_dir = tmp_path / "ckpt"
+        with _fleet_engine(shard_autoencoder, train_fleet, 3) as engine:
+            engine.step_block(live_fleet[:, :4])
+            save_checkpoint(ckpt_dir, engine)
+            before = _manifest(ckpt_dir)["shards"]
+            engine.add_stations(1, thresholds=0.5, data_min=np.zeros(1), data_max=np.full(1, 60.0))
+            dirty = [s for s in range(3) if engine._saved[s] is None]
+            assert len(dirty) == 1
+            save_checkpoint(ckpt_dir, engine)
+            after = _manifest(ckpt_dir)["shards"]
+            for s in range(3):
+                assert (after[s] == before[s]) == (s not in dirty), s
+            assert not (ckpt_dir / before[dirty[0]]["file"]).exists()
+
+        # The partial save still loads cleanly and covers the grown fleet.
+        restored, _ = load_checkpoint(ckpt_dir)
+        with restored:
+            assert restored.n_stations == N_STATIONS + 1
+
+    def test_drop_marks_renumbered_shards_dirty(
+        self, tmp_path, shard_autoencoder, train_fleet, live_fleet
+    ):
+        """Renumbering changes members fleet-wide; stale files must rewrite."""
+        ckpt_dir = tmp_path / "ckpt"
+        with _fleet_engine(shard_autoencoder, train_fleet, 3) as engine:
+            engine.step_block(live_fleet[:, :4])
+            save_checkpoint(ckpt_dir, engine)
+            engine.drop_stations([0])
+            save_checkpoint(ckpt_dir, engine)
+        restored, _ = load_checkpoint(ckpt_dir)
+        with restored:
+            assert restored.n_stations == N_STATIONS - 1
+
+    def test_saving_into_another_engines_directory_rewrites_every_member(
+        self, tmp_path, shard_autoencoder, train_fleet, live_fleet
+    ):
+        ckpt_dir = tmp_path / "ckpt"
+        with _fleet_engine(shard_autoencoder, train_fleet, 2) as first:
+            first.step_block(live_fleet[:, :4])
+            save_checkpoint(ckpt_dir, first)
+        before = _manifest(ckpt_dir)
+        with _fleet_engine(shard_autoencoder, train_fleet, 2) as second:
+            second.step_block(live_fleet[:, :8])
+            # Its own first save is generation 0 too: same names as the
+            # first engine's files, different bytes.
+            save_checkpoint(tmp_path / "own", second)
+            assert _manifest(tmp_path / "own")["shards"][0]["file"] == "shard-0000-0.npz"
+            save_checkpoint(ckpt_dir, second)
+        after = _manifest(ckpt_dir)
+        assert not {e["file"] for e in before["shards"]} & {e["file"] for e in after["shards"]}
+        restored, _ = load_checkpoint(ckpt_dir)
+        with restored:
+            assert restored.tick == 8
+
+    def test_in_process_engine_rewrites_every_file(
+        self, tmp_path, shard_autoencoder, train_fleet, live_fleet
+    ):
+        engine = _fleet_engine(shard_autoencoder, train_fleet, 1)
+        engine.step_block(live_fleet[:, :4])
+        ckpt_dir = save_checkpoint(tmp_path / "ckpt", engine)
+        first = _listed(ckpt_dir)
+        save_checkpoint(ckpt_dir, engine)
+        assert not first & _listed(ckpt_dir)
+        assert sorted(os.listdir(ckpt_dir)) == sorted(_listed(ckpt_dir) | {MANIFEST_NAME})
+
+    def test_cleanup_deletes_only_the_writers_own_files(
+        self, tmp_path, shard_autoencoder, train_fleet, live_fleet
+    ):
+        engine = _fleet_engine(shard_autoencoder, train_fleet, 1)
+        ckpt_dir = tmp_path / "ckpt"
+        ckpt_dir.mkdir()
+        foreign = ["notes.txt", "model.npz", "shard-0000.npz", "model-x.npz"]
+        for name in foreign:
+            (ckpt_dir / name).write_text("not a checkpoint file")
+        (ckpt_dir / "shard-0003-7.npz").write_text("a stale member")
+        (ckpt_dir / ".model-9.npz.tmp").write_text("a dead save's temp file")
+        save_checkpoint(ckpt_dir, engine)
+        assert sorted(os.listdir(ckpt_dir)) == sorted(
+            [*foreign, MANIFEST_NAME, "model-10.npz", "shard-0000-10.npz"]
+        )
 
 
-class TestCheckpointProvenance:
-    """Creation metadata: library versions in, warnings out."""
-
-    @pytest.fixture
-    def saved(self, small_autoencoder, tmp_path):
-        fleet = synthesize_fleet(2, 20, seed=4)
-        engine = _pipeline(small_autoencoder, fleet, "hold_last_good", None)
-        engine.run(fleet, block_size=5)
-        return save_checkpoint(tmp_path / "prov", engine)
-
-    def test_save_records_library_metadata(self, saved):
-        import repro
-
-        restored = load_checkpoint(saved)
-        assert restored.library["version"] == repro.__version__
-        assert restored.library["numpy"] == np.__version__
-        assert restored.library["created_unix"] > 0
-
-    def test_same_version_load_does_not_warn(self, saved):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            load_checkpoint(saved)
-
-    def test_cross_version_load_warns_but_loads(self, saved):
-        _rewrite_meta(saved, lambda m: m["library"].__setitem__("version", "0.0.1"))
-        with pytest.warns(RuntimeWarning, match="written by repro 0.0.1"):
-            restored = load_checkpoint(saved)
-        assert restored.library["version"] == "0.0.1"
-        assert restored.detector.tick == 20  # state still restored in full
-
-    def test_legacy_archive_without_provenance_loads_silently(self, saved):
-        """Pre-provenance archives (no library/sharding keys) stay loadable."""
-        import warnings
-
-        def strip(meta):
-            meta.pop("library")
-            meta.pop("sharding")
-
-        _rewrite_meta(saved, strip)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            restored = load_checkpoint(saved)
-        assert restored.library == {}
-
-    def test_sharded_member_points_at_manifest_loader(self, saved):
-        """A shard member of a sharded fleet checkpoint must not restore
-        as if it were the whole fleet — the error names the real loader."""
-        from repro.stream.checkpoint import CheckpointError
-
-        def shard(meta):
-            meta["sharding"] = {"shards": 4, "shard_index": 2}
-
-        _rewrite_meta(saved, shard)
-        with pytest.raises(CheckpointError, match="shard 2 of 4") as excinfo:
-            load_checkpoint(saved)
-        assert "load_sharded_checkpoint" in str(excinfo.value)
+def _dies_after_first_member(monkeypatch, n_shards):
+    """Fail the write right after the first member file of the next save."""
+    # Writes run model (unless reused), members in shard order, extra,
+    # manifest; a sharded engine that already saved reuses its model.
+    fail_nth_write(monkeypatch, 2 if n_shards > 1 else 3)
 
 
-class TestCorruptArchives:
-    """Unreadable archives fail with CheckpointError naming the path."""
+class TestCrashConsistentSave:
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    def test_save_dying_after_first_member_keeps_previous_checkpoint(
+        self, tmp_path, shard_autoencoder, train_fleet, live_fleet, reference, monkeypatch, n_shards
+    ):
+        ckpt_dir = tmp_path / "ckpt"
+        with _fleet_engine(shard_autoencoder, train_fleet, n_shards) as engine:
+            engine.step_block(live_fleet[:, :4])
+            save_checkpoint(ckpt_dir, engine, extra={"tick": np.asarray(4)})
+            saved = _contents(ckpt_dir)
+            engine.step_block(live_fleet[:, 4:8])
+            _dies_after_first_member(monkeypatch, n_shards)
+            with pytest.raises(OSError, match="killed mid-save"):
+                save_checkpoint(ckpt_dir, engine, extra={"tick": np.asarray(8)})
+            monkeypatch.undo()
+        assert _contents(ckpt_dir) == saved  # no new-generation file left
+        restored, extra = load_checkpoint(ckpt_dir)
+        assert int(extra["tick"]) == 4
+        with restored:
+            _assert_blocks_match(restored, live_fleet, reference, start=4)
 
-    @pytest.fixture
-    def valid_checkpoint(self, small_autoencoder, tmp_path):
-        fleet = synthesize_fleet(2, 20, seed=51)
-        engine = _pipeline(small_autoencoder, fleet, "hold_last_good", 0.01)
-        engine.run(fleet[:, :10])
-        return save_checkpoint(tmp_path / "valid", engine)
+
+def _save_killed_at(ckpt_dir, n, live_fleet):
+    """Child process: resume, step two blocks, SIGKILL at the ``n``-th file write.
+
+    The kill takes the child's whole process group, shard workers
+    included, as a container stop would.
+    """
+    os.setpgrp()
+    engine, _extra = load_checkpoint(ckpt_dir)
+    with engine:
+        for t in (8, 12):
+            engine.step_block(live_fleet[:, t : t + 4])
+        fail_nth_write(pytest.MonkeyPatch(), n, lambda: os.killpg(0, signal.SIGKILL))
+        save_checkpoint(ckpt_dir, engine, extra={"tick": np.asarray(16)})
+
+
+class TestRealKill:
+    """A real SIGKILL during every file write of one save.
+
+    The child dies with half of the file's bytes in its temp file.
+    Whatever write it dies in, the directory loads as either the old or
+    the new tick and resumes bit-exactly, and the next save clears the
+    dead save's leftovers.
+    """
+
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    def test_sigkill_at_every_write(
+        self, tmp_path, shard_autoencoder, train_fleet, live_fleet, reference, n_shards
+    ):
+        pristine = tmp_path / "pristine"
+        with _fleet_engine(shard_autoencoder, train_fleet, n_shards) as engine:
+            for t in (0, 4):
+                engine.step_block(live_fleet[:, t : t + 4])
+            save_checkpoint(pristine, engine, extra={"tick": np.asarray(8)})
+        context = multiprocessing.get_context("fork")
+        for n in range(1, 10):
+            ckpt_dir = tmp_path / f"kill-{n}"
+            shutil.copytree(pristine, ckpt_dir)
+            child = context.Process(target=_save_killed_at, args=(ckpt_dir, n, live_fleet))
+            child.start()
+            child.join(timeout=60)
+            hung = child.exitcode is None
+            if hung:
+                os.killpg(child.pid, signal.SIGKILL)
+                child.join()
+            assert not hung
+            assert child.exitcode in (0, -signal.SIGKILL)
+            restored, extra = load_checkpoint(ckpt_dir)
+            tick = int(extra["tick"])
+            assert tick == (16 if child.exitcode == 0 else 8)
+            with restored:
+                _assert_blocks_match(restored, live_fleet, reference, start=tick)
+                save_checkpoint(ckpt_dir, restored, extra={"tick": np.asarray(24)})
+            assert sorted(os.listdir(ckpt_dir)) == sorted(_listed(ckpt_dir) | {MANIFEST_NAME})
+            if child.exitcode == 0:
+                break
+        # Every write of the save was a kill point: members, extra, manifest.
+        assert n == n_shards + 3 + (n_shards == 1)
+
+
+class TestRejections:
+    """Every defect is a CheckpointError naming the offending file."""
+
+    @pytest.fixture(params=[1, 2], ids=["in-process", "sharded"])
+    def saved(self, request, tmp_path, shard_autoencoder, train_fleet, live_fleet):
+        ckpt_dir = tmp_path / "ckpt"
+        with _fleet_engine(shard_autoencoder, train_fleet, request.param) as engine:
+            engine.step_block(live_fleet[:, :4])
+            save_checkpoint(ckpt_dir, engine, extra={"note": np.arange(256.0)})
+        return ckpt_dir
 
     def test_checkpoint_error_is_a_value_error(self):
-        from repro.stream import CheckpointError
-
         assert issubclass(CheckpointError, ValueError)
 
+    def test_corrupt_member_fails_checksum(self, saved):
+        member = saved / _manifest(saved)["shards"][-1]["file"]
+        raw = bytearray(member.read_bytes())
+        raw[len(raw) // 2] ^= 0xFF
+        member.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="checksum") as excinfo:
+            load_checkpoint(saved)
+        assert str(member) in str(excinfo.value)
+
     @pytest.mark.parametrize("keep", [0.25, 0.5, 0.9])
-    def test_byte_truncated_archive_raises_checkpoint_error(
-        self, valid_checkpoint, tmp_path, keep
-    ):
-        from repro.stream import CheckpointError
+    def test_truncated_member_reports_size(self, saved, keep):
+        member = saved / _manifest(saved)["shards"][0]["file"]
+        data = member.read_bytes()
+        member.write_bytes(data[: int(len(data) * keep)])
+        with pytest.raises(CheckpointError, match="truncated") as excinfo:
+            load_checkpoint(saved)
+        assert str(member) in str(excinfo.value)
 
-        data = valid_checkpoint.read_bytes()
-        truncated = tmp_path / f"truncated-{keep}.npz"
-        truncated.write_bytes(data[: int(len(data) * keep)])
+    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    def test_damaged_extra_file_names_its_path(self, saved, damage):
+        extra_file = saved / _manifest(saved)["extra"]["file"]
+        raw = bytearray(extra_file.read_bytes())
+        if damage == "truncate":
+            raw = raw[:-16]
+        else:
+            raw[len(raw) // 2] ^= 0xFF
+        extra_file.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError) as excinfo:
-            load_checkpoint(truncated)
-        assert str(truncated) in str(excinfo.value)
-        assert "truncated" in str(excinfo.value)
+            load_checkpoint(saved)
+        assert str(extra_file) in str(excinfo.value)
 
-    def test_tail_truncation_of_central_directory(self, valid_checkpoint, tmp_path):
-        from repro.stream import CheckpointError
+    def test_missing_member_file_rejected(self, saved):
+        member = saved / _manifest(saved)["shards"][-1]["file"]
+        member.unlink()
+        with pytest.raises(CheckpointError, match="missing") as excinfo:
+            load_checkpoint(saved)
+        assert str(member) in str(excinfo.value)
 
-        data = valid_checkpoint.read_bytes()
-        clipped = tmp_path / "clipped.npz"
-        clipped.write_bytes(data[:-17])
-        with pytest.raises(CheckpointError, match="clipped"):
-            load_checkpoint(clipped)
+    @pytest.mark.parametrize(
+        "name", ["../escape-0.npz", "/tmp/shard-0000-0.npz", "shard-0000.npz", "shard-0009-0.npz"]
+    )
+    def test_unsafe_or_foreign_file_name_rejected(self, saved, name):
+        manifest = _manifest(saved)
+        manifest["shards"][0]["file"] = name
+        (saved / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="malformed shard-0000 entry") as excinfo:
+            load_checkpoint(saved)
+        assert str(saved / MANIFEST_NAME) in str(excinfo.value)
 
-    def test_missing_file_raises_checkpoint_error(self, tmp_path):
-        from repro.stream import CheckpointError
+    def test_member_that_does_not_restore_names_its_file(self, saved):
+        """The state check runs in the worker for a sharded checkpoint; the
+        error still comes back as a CheckpointError naming the member."""
+        name = _manifest(saved)["shards"][-1]["file"]
+        rewrite_archive(saved, name, lambda arrays: arrays.pop("detector.thresholds"))
+        with pytest.raises(CheckpointError, match="does not restore") as excinfo:
+            load_checkpoint(saved)
+        assert str(saved / name) in str(excinfo.value)
 
-        ghost = tmp_path / "never-written.npz"
+    def test_missing_directory_rejected(self, tmp_path):
+        ghost = tmp_path / "never-written"
         with pytest.raises(CheckpointError) as excinfo:
             load_checkpoint(ghost)
         assert str(ghost) in str(excinfo.value)
 
-    def test_garbage_bytes_raise_checkpoint_error(self, tmp_path):
-        from repro.stream import CheckpointError
+    def test_garbage_manifest_rejected(self, tmp_path):
+        (tmp_path / MANIFEST_NAME).write_bytes(b"this was never json" * 10)
+        with pytest.raises(CheckpointError, match="cannot read checkpoint manifest"):
+            load_checkpoint(tmp_path)
 
-        garbage = tmp_path / "garbage.npz"
-        garbage.write_bytes(b"this was never a zip archive" * 10)
-        with pytest.raises(CheckpointError, match="garbage"):
-            load_checkpoint(garbage)
-
-    def test_foreign_npz_raises_checkpoint_error(self, tmp_path):
-        from repro.stream import CheckpointError
-
-        foreign = tmp_path / "foreign.npz"
-        np.savez(foreign, weights=np.zeros(3))
+    def test_wrong_format_rejected(self, tmp_path):
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps({"format": "nope"}))
         with pytest.raises(CheckpointError, match="not a stream checkpoint"):
-            load_checkpoint(foreign)
-
-    def test_corrupt_meta_json_raises_checkpoint_error(self, tmp_path):
-        from repro.stream import CheckpointError
-
-        mangled = tmp_path / "mangled.npz"
-        np.savez(mangled, meta=np.asarray("{not json"))
-        with pytest.raises(CheckpointError, match="meta"):
-            load_checkpoint(mangled)
-
-
-class TestCrashConsistentSave:
-    def test_failed_save_leaves_previous_checkpoint_intact(
-        self, small_autoencoder, tmp_path, monkeypatch
-    ):
-        fleet = synthesize_fleet(3, 24, seed=52)
-        engine = _pipeline(small_autoencoder, fleet, "causal_linear", 0.01)
-        engine.run(fleet[:, :12], block_size=4)
-        path = save_checkpoint(tmp_path / "live", engine)
-        saved = path.read_bytes()
-        engine.run(fleet[:, 12:], block_size=4)
-
-        savez_killed_halfway(monkeypatch)
-        with pytest.raises(OSError, match="killed mid-save"):
-            save_checkpoint(path, engine)
-        monkeypatch.undo()
-
-        assert path.read_bytes() == saved
-        assert [entry.name for entry in tmp_path.iterdir()] == [path.name]
-        assert load_checkpoint(path).detector.tick == 12
+            load_checkpoint(tmp_path)

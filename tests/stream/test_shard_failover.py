@@ -13,12 +13,9 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.stream.checkpoint import save_checkpoint
 from repro.stream.engine import synthesize_fleet
-from repro.stream.shard import (
-    ShardedFleetEngine,
-    ShardFailoverError,
-    save_sharded_checkpoint,
-)
+from repro.stream.shard import ShardedFleetEngine, ShardFailoverError
 
 from .conftest import build_fleet_engine
 
@@ -104,7 +101,7 @@ class TestFailover:
         ) as engine:
             for t in range(0, 12, 4):
                 engine.step_block(live_fleet[:, t : t + 4])
-            save_sharded_checkpoint(tmp_path / "ckpt", engine)
+            save_checkpoint(tmp_path / "ckpt", engine)
             assert all(len(j) == 0 for j in engine._journal)
             engine.step_block(live_fleet[:, 12:16])
             assert all(len(j) == 1 for j in engine._journal)
