@@ -22,7 +22,7 @@ Three profiles, one JSON:
   the honest ceiling, not the ISSUE's aspirational 5x (see ROADMAP).
 * ``ops`` — operational robustness under sensor dropout + station
   churn: a fleet with ``--dropout-rate`` NaN readings replayed through
-  a ``missing="impute"`` detector with closed-loop mitigation, with a
+  a ``missing="impute"`` detector with mitigation, with a
   mid-run join+leave of ~1% of the fleet.  Informational (no
   ``speedup_`` metrics): it proves the dropout/churn path sustains
   fleet-scale throughput and exercises imputation + elastic resizing
@@ -398,8 +398,9 @@ def slo_profile(args: argparse.Namespace) -> dict:
     n_clients = -(-stations // stations_per_client)
 
     def build_engine() -> StreamReplayEngine:
-        # Fresh seeded model per leg: closed-loop feedback mutates the
-        # pipeline, and both legs must start from the identical state.
+        # Fresh seeded pipeline per leg: streaming mutates its buffers,
+        # bounds and anchors, and both legs must start from the identical
+        # state.
         autoencoder = LSTMAutoencoder(config, seed=args.seed)
         scaler = StreamingMinMaxScaler.from_bounds(
             fleet.min(axis=1), fleet.max(axis=1)

@@ -234,9 +234,7 @@ class IngestClient:
             try:
                 await self.transport.connect(self.connect_timeout)
                 self._decoder = FrameDecoder()
-                self.transport.send(
-                    pack_hello(self.client_id, self.token, versions=self.versions)
-                )
+                self.transport.send(pack_hello(self.client_id, self.token, versions=self.versions))
                 await self.transport.drain()
                 deadline = time.perf_counter() + self.connect_timeout
                 while True:

@@ -179,9 +179,7 @@ class FrameDecoder:
                 # Only batch frames may run longer; peek the type byte
                 # (right after the header) before judging plausibility.
                 if not 5 <= length <= MAX_BATCH_BODY + 5:
-                    raise ProtocolError(
-                        f"implausible frame length {length}; stream desynced"
-                    )
+                    raise ProtocolError(f"implausible frame length {length}; stream desynced")
                 if len(self._buf) < _HEADER.size + 1:
                     break  # need the type byte to judge this length
                 if self._buf[_HEADER.size] not in _BATCH_TYPES:
@@ -286,12 +284,8 @@ def pack_batch_data(stations, seqs, timestamps, readings) -> bytes:
     records["seq"] = np.mod(
         np.broadcast_to(np.asarray(seqs, dtype=np.int64), stations.shape), SEQ_MOD
     )
-    records["timestamp"] = np.broadcast_to(
-        np.asarray(timestamps, dtype=np.float64), stations.shape
-    )
-    records["reading"] = np.broadcast_to(
-        np.asarray(readings, dtype=np.float64), stations.shape
-    )
+    records["timestamp"] = np.broadcast_to(np.asarray(timestamps, dtype=np.float64), stations.shape)
+    records["reading"] = np.broadcast_to(np.asarray(readings, dtype=np.float64), stations.shape)
     return encode_frame(FrameType.BATCH_DATA, records.tobytes())
 
 
@@ -363,9 +357,7 @@ def sign_control_token(secret: str, client_id: str) -> str:
     prefixed with ``control:``): a captured data-plane token cannot be
     replayed to reshape the fleet.
     """
-    return hmac.new(
-        secret.encode(), b"control:" + client_id.encode(), hashlib.sha256
-    ).hexdigest()
+    return hmac.new(secret.encode(), b"control:" + client_id.encode(), hashlib.sha256).hexdigest()
 
 
 def pack_hello(client_id: str, token: str = "", versions=None) -> bytes:
@@ -507,9 +499,7 @@ def unpack_control(body: bytes) -> dict:
     return _checked_cid(_unpack_json(body, "control"), "control")
 
 
-def pack_control_ack(
-    cid: int, op: str, ok: bool, n_stations: int = 0, error: str = ""
-) -> bytes:
+def pack_control_ack(cid: int, op: str, ok: bool, n_stations: int = 0, error: str = "") -> bytes:
     """Encode the outcome of a control-plane op (v2).
 
     ``n_stations`` reports the fleet width after the op (clients learn

@@ -260,9 +260,7 @@ class ReorderBuffer:
         if n_new < 1:
             raise ValueError(f"n_new must be >= 1, got {n_new}")
         self.n_stations += int(n_new)
-        self.last_seen = np.concatenate(
-            [self.last_seen, np.full(n_new, -1, dtype=np.int64)]
-        )
+        self.last_seen = np.concatenate([self.last_seen, np.full(n_new, -1, dtype=np.int64)])
         for entry in self._pending.values():
             entry.values = np.concatenate([entry.values, np.full(n_new, np.nan)])
             entry.filled = np.concatenate([entry.filled, np.zeros(n_new, dtype=bool)])

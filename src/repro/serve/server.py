@@ -616,7 +616,9 @@ class IngestionServer:
         # timelines are over, so those readings are terminal LATE.
         stale = self.n_stations < width
         live = stations < self.n_stations if stale else slice(None)
-        codes = self.reorder.offer_block(stations[live], seqs[live], readings[live], arrival=arrival)
+        codes = self.reorder.offer_block(
+            stations[live], seqs[live], readings[live], arrival=arrival
+        )
         if stale:
             late = np.full(stations.size, int(AckStatus.LATE), dtype=np.uint8)
             late[live] = codes

@@ -18,11 +18,12 @@ latency, and the paper's detection metrics.
 The pipeline step is a block, batching the *time* axis as well:
 :meth:`StreamingDetector.process_block` ingests ``(n_stations, B)``
 readings and scores every window the block completes in one inference
-pass, and ``engine.run(fleet, block_size=B)`` drives the whole closed
-loop block-wise.  Every per-tick entry point (``process_tick``,
-``step_tick``, ``mitigate``) is the ``B = 1`` view of its block
-counterpart; larger blocks move mitigation feedback and
-adaptive-threshold updates to block granularity.
+pass, and ``engine.run(fleet, block_size=B)`` drives detection and
+mitigation block-wise.  Mitigation repairs the output stream only;
+detection always scores the raw readings.  Every per-tick entry point
+(``process_tick``, ``step_tick``, ``mitigate``) is the ``B = 1`` view of
+its block counterpart; larger blocks move adaptive-threshold updates to
+block granularity.
 
 Operations: the pipeline checkpoints to a manifest directory with
 bit-exact resume (:mod:`~repro.stream.checkpoint`), fleets grow and

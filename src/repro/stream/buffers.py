@@ -149,9 +149,7 @@ class RingBufferBank:
     def amend_block(self, values: np.ndarray, stations: np.ndarray | None = None) -> None:
         """Overwrite the most recent ``B`` readings per addressed station.
 
-        Used for closed-loop mitigation: after a block of ``B`` pushes,
-        rewrite those same ``B`` slots with repaired values so one
-        corrupted reading does not pollute the next ``length`` windows
+        After a block of ``B`` pushes, rewrite those same ``B`` slots
         (columns past ``length`` history are silently clipped to the
         ``length`` the ring still remembers).
         """
@@ -168,9 +166,8 @@ class RingBufferBank:
         """:meth:`amend_block` for pre-validated arrays.
 
         ``mask`` (same shape as ``values``, optional) restricts the
-        rewrite to selected entries — the closed loop passes the flag
-        matrix so clean readings keep their originally-buffered values
-        instead of being re-scaled under end-of-block bounds.
+        rewrite to selected entries, so unselected readings keep their
+        originally-buffered values.
         """
         block = values.shape[1]
         if not np.all(self.counts[stations] >= min(block, self.length)):

@@ -85,7 +85,10 @@ from repro.stream.mitigation import _REGISTRY, StreamingMitigator
 from repro.stream.scaler import StreamingMinMaxScaler
 
 _FORMAT = "repro.stream.checkpoint"
-_VERSION = 2
+#: 3: the pipeline recipe no longer records a mitigation-loop mode.  A
+#: version-2 manifest may have been saved with the removed closed loop,
+#: so it is rejected rather than resumed under different semantics.
+_VERSION = 3
 MANIFEST_NAME = "manifest.json"
 #: Every data file the writer produces: ``<role>-<generation>.npz``.
 _DATA_FILE = re.compile(r"(?:model|extra|shard-\d{4})-(\d+)\.npz")
@@ -150,7 +153,6 @@ def _mitigator_meta(mitigator: StreamingMitigator) -> dict:
 def pipeline_meta(
     detector: StreamingDetector,
     mitigator: StreamingMitigator | None,
-    feedback: bool,
 ) -> dict:
     """The JSON-serializable rebuild recipe for a pipeline.
 
@@ -175,7 +177,6 @@ def pipeline_meta(
         "autoencoder": asdict(detector.autoencoder.config),
         "model": model_to_config(detector.autoencoder.model),
         "mitigator": None if mitigator is None else _mitigator_meta(mitigator),
-        "feedback": bool(feedback),
     }
 
 
@@ -233,7 +234,7 @@ def build_engine(
     if meta["mitigator"] is not None:
         mitigator = _REGISTRY[meta["mitigator"]["name"]](n_stations, **meta["mitigator"]["config"])
         mitigator.load_state_dict(state["mitigator"])
-    engine = StreamReplayEngine(detector, mitigator=mitigator, feedback=meta["feedback"])
+    engine = StreamReplayEngine(detector, mitigator=mitigator)
     if mitigator is not None:
         fallback = mitigator.fallback.copy()
         engine.mitigator.set_fallback(fallback)
@@ -281,7 +282,7 @@ def _read_manifest(path: Path) -> dict:
         problem = "no valid tick"
     elif not isinstance(manifest.get("library", {}), dict):
         problem = "a malformed library record"
-    elif not isinstance(pipeline, dict) or not isinstance(pipeline.get("feedback"), bool):
+    elif not isinstance(pipeline, dict):
         problem = "no valid pipeline recipe"
     elif not isinstance(shards, list) or not shards:
         problem = "no shard table"
@@ -365,7 +366,7 @@ def save_checkpoint(
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     if isinstance(engine, StreamReplayEngine):
-        recipe = pipeline_meta(engine.detector, engine.mitigator, engine.feedback)
+        recipe = pipeline_meta(engine.detector, engine.mitigator)
         weights = engine.detector.autoencoder.model.get_weights()
         tick = engine.detector.tick
         assignment = np.zeros(engine.n_stations, dtype=np.int64)

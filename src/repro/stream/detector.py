@@ -401,9 +401,8 @@ class StreamingDetector:
         """Fill the missing entries of ``scaled`` in place, causally.
 
         Each missing entry takes the most recent present scaled value in
-        its row, carrying in the station's last buffered value (which
-        reflects closed-loop repairs) or the scale floor for a buffer
-        that has never seen a reading.  Only rows holding a missing entry
+        its row, carrying in the station's last buffered value or the
+        scale floor for a buffer that has never seen a reading.  Only rows holding a missing entry
         are touched.  Returns how many imputes fell back to the floor
         (counted only when ``count_fallbacks``; 0 otherwise).
         """
@@ -462,25 +461,19 @@ class StreamingDetector:
         stations: np.ndarray | None = None,
         flags: np.ndarray | None = None,
     ) -> None:
-        """Replace the newest ``B`` buffered readings with repaired values.
+        """Replace the newest ``B`` buffered readings with other values.
 
-        Closed-loop operation: after mitigation, writing the repaired
-        values back into the window buffer stops an attacked reading
-        from corrupting the next ``sequence_length`` windows (which is
-        what smears window-mode flags onto normal neighbours).  Repairs
-        are written back at block granularity — the *next* block's
-        windows see the repaired history, while windows inside the
-        amended block were already scored against the raw readings.  A
-        closed loop intentionally diverges from the open-loop batch
-        detector, which always scores the raw series.  Repaired values
-        are re-scaled under the current bounds (never widening them;
-        repairs are not observations).
+        The replay engine never calls this: detection scores the raw
+        series, as the batch detector does.  Rewritten values change the
+        history the *next* windows score, while windows already scored
+        keep their scores.  Values are re-scaled under the current bounds
+        (never widening them; a rewrite is not an observation).
 
         ``flags`` (same shape, optional) restricts the rewrite to the
-        flagged entries.  The closed loop must pass it when the scaler is
-        live: clean readings were buffered under mid-block *running*
-        bounds, and rewriting them under end-of-block bounds would
-        silently alter unflagged stations' history.
+        flagged entries.  Pass it when the scaler is live: clean readings
+        were buffered under mid-block *running* bounds, and rewriting
+        them under end-of-block bounds would silently alter unflagged
+        stations' history.
         """
         values, station_index = check_block(values, stations, self.n_stations)
         if flags is not None:

@@ -147,11 +147,31 @@ class StreamReport:
         return "\n".join(lines)
 
 
+def _stacked_blocks(ticks, n_stations: int, block_size: int):
+    """Stack an iterable of ``(n_stations,)`` ticks into blocks.
+
+    Yields ``(n_stations, block_size)`` blocks as ticks accumulate, then
+    a trailing partial block; a source error propagates at the tick it
+    happens, leaving the pending ticks undecided.
+    """
+    pending: list[np.ndarray] = []
+    for values in ticks:
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != (n_stations,):
+            raise ValueError(f"each tick must be ({n_stations},), got {values.shape}")
+        pending.append(values)
+        if len(pending) == block_size:
+            yield np.stack(pending, axis=1)
+            pending = []
+    if pending:
+        yield np.stack(pending, axis=1)
+
+
 class ReplayDriver:
     """Engine-agnostic replay loop: scheduling, timing, report assembly.
 
-    Subclasses supply the fleet shape and ONE closed-loop step
-    primitive — :attr:`n_stations`, :attr:`missing_mode` and
+    Subclasses supply the fleet shape and ONE step primitive —
+    :attr:`n_stations`, :attr:`missing_mode` and
     ``_step_block(values, reg)``, which takes an ``(n_stations, B)``
     block and returns ``(flags, scores, missing, mitigated)``, each the
     block's shape — and inherit the whole public replay surface
@@ -189,7 +209,7 @@ class ReplayDriver:
     def step_block(
         self, values: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Process one ``(n_stations, B)`` block through the closed loop.
+        """Process one ``(n_stations, B)`` block: detect, then mitigate.
 
         The live-ingestion entry point: identical semantics to one
         iteration of :meth:`run`, so a server feeding consecutive blocks
@@ -243,13 +263,11 @@ class ReplayDriver:
         ``block_size=1`` decides every tick before the next one arrives.
         Larger blocks keep tick semantics for scaling and fixed-threshold
         scoring (to floating-point round-off — float32 inference can
-        round the last ulp differently across batch sizes), but move the
-        closed loop to block granularity: repairs are written back only
-        *between* blocks, so windows inside a block score raw readings
-        (and adaptive thresholds update per block).  A trailing partial
-        block is processed with whatever ticks remain.  Per-tick
-        ``latencies`` within one block report the block's wall-clock
-        divided evenly across its ticks.
+        round the last ulp differently across batch sizes); adaptive
+        thresholds update per block.  A trailing partial block is
+        processed with whatever ticks remain.  Per-tick ``latencies``
+        within one block report the block's wall-clock divided evenly
+        across its ticks.
 
         ``fleet`` may also be any *iterable* of per-tick
         ``(n_stations,)`` readings (a generator, a live source): ticks
@@ -262,27 +280,87 @@ class ReplayDriver:
         ``KeyboardInterrupt`` — the ticks completed so far are finalized
         into a full :class:`StreamReport` and re-raised as
         :class:`StreamInterrupted` with the report attached, instead of
-        losing the whole run's stats.
+        losing the whole run's stats.  Ticks delivered but not yet
+        decided (a partial pending block) are not reported.
         """
         if block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {block_size}")
         n_stations = self.n_stations
         if station_names is not None and len(station_names) != n_stations:
             raise ValueError("station_names must have one entry per station")
-        if isinstance(fleet, np.ndarray) or isinstance(fleet, (list, tuple)):
-            return self._run_materialized(
-                np.asarray(fleet, dtype=np.float64), labels, station_names, block_size
+        if isinstance(fleet, (np.ndarray, list, tuple)):
+            fleet = np.asarray(fleet, dtype=np.float64)
+            if fleet.ndim != 2 or fleet.shape[0] != n_stations:
+                raise ValueError(
+                    f"fleet must be ({n_stations}, n_ticks), got {fleet.shape}"
+                )
+            if labels is not None:
+                labels = np.asarray(labels, dtype=bool)
+                if labels.shape != fleet.shape:
+                    raise ValueError(
+                        f"labels shape {labels.shape} must match fleet shape {fleet.shape}"
+                    )
+            blocks = (
+                fleet[:, first : first + block_size]
+                for first in range(0, fleet.shape[1], block_size)
             )
-        if labels is not None:
-            raise ValueError("labels require a materialized (array) fleet")
+        else:
+            if labels is not None:
+                raise ValueError("labels require a materialized (array) fleet")
+            try:
+                ticks = iter(fleet)
+            except TypeError:
+                raise TypeError(
+                    f"fleet must be an array or an iterable of per-tick readings, "
+                    f"got {type(fleet).__name__}"
+                ) from None
+            blocks = _stacked_blocks(ticks, n_stations, block_size)
+
+        reg = obs.registry()
+        step_hist = self._step_histogram(reg, block_size)
+        # Per decided block: its (flags, scores, missing, mitigated)
+        # columns and its wall-clock per tick.
+        decided: list[tuple] = []
+        latencies: list[np.ndarray] = []
+        error: BaseException | None = None
+        start = time.perf_counter()
         try:
-            ticks = iter(fleet)
-        except TypeError:
-            raise TypeError(
-                f"fleet must be an array or an iterable of per-tick readings, "
-                f"got {type(fleet).__name__}"
-            ) from None
-        return self._run_stream(ticks, station_names, block_size)
+            for block in blocks:
+                block_start = time.perf_counter()
+                decided.append(self._step_block(block, reg))
+                block_elapsed = time.perf_counter() - block_start
+                latencies.append(
+                    np.full(block.shape[1], block_elapsed / block.shape[1], dtype=np.float64)
+                )
+                if step_hist is not None:
+                    step_hist.observe(block_elapsed)
+        except (Exception, KeyboardInterrupt) as exc:
+            # An interrupted block's partial state stays in the detector,
+            # but its undecided columns are not reported.
+            error = exc
+        elapsed = time.perf_counter() - start
+
+        def join(column: int, dtype) -> np.ndarray:
+            if not decided:
+                return np.empty((n_stations, 0), dtype=dtype)
+            return np.concatenate([out[column] for out in decided], axis=1)
+
+        flags, scores = join(0, bool), join(1, np.float64)
+        missing, mitigated = join(2, bool), join(3, np.float64)
+        if labels is not None:
+            labels = labels[:, : flags.shape[1]]
+        return self._finalize(
+            reg,
+            elapsed,
+            np.concatenate(latencies) if latencies else np.empty(0, dtype=np.float64),
+            flags,
+            scores,
+            mitigated,
+            missing,
+            labels,
+            station_names,
+            error,
+        )
 
     @staticmethod
     def _step_histogram(reg, block_size: int):
@@ -345,138 +423,6 @@ class ReplayDriver:
             raise StreamInterrupted(report, error) from error
         return report
 
-    def _run_materialized(
-        self,
-        fleet: np.ndarray,
-        labels: np.ndarray | None,
-        station_names: list[str] | None,
-        block_size: int,
-    ) -> StreamReport:
-        n_stations = self.n_stations
-        if fleet.ndim != 2 or fleet.shape[0] != n_stations:
-            raise ValueError(
-                f"fleet must be ({n_stations}, n_ticks), got {fleet.shape}"
-            )
-        n_ticks = fleet.shape[1]
-        if labels is not None:
-            labels = np.asarray(labels, dtype=bool)
-            if labels.shape != fleet.shape:
-                raise ValueError(
-                    f"labels shape {labels.shape} must match fleet shape {fleet.shape}"
-                )
-        flags = np.zeros((n_stations, n_ticks), dtype=bool)
-        scores = np.full((n_stations, n_ticks), np.nan, dtype=np.float64)
-        missing = np.zeros((n_stations, n_ticks), dtype=bool)
-        mitigated = fleet.copy()
-        latencies = np.empty(n_ticks, dtype=np.float64)
-
-        reg = obs.registry()
-        step_hist = self._step_histogram(reg, block_size)
-
-        error: BaseException | None = None
-        completed = 0
-        start = time.perf_counter()
-        try:
-            for first in range(0, n_ticks, block_size):
-                block_start = time.perf_counter()
-                sl = slice(first, min(first + block_size, n_ticks))
-                out = self._step_block(fleet[:, sl], reg)
-                flags[:, sl], scores[:, sl], missing[:, sl], mitigated[:, sl] = out
-                block_elapsed = time.perf_counter() - block_start
-                latencies[sl] = block_elapsed / (sl.stop - sl.start)
-                if step_hist is not None:
-                    step_hist.observe(block_elapsed)
-                completed = sl.stop
-        except (Exception, KeyboardInterrupt) as exc:
-            error = exc
-        elapsed = time.perf_counter() - start
-        if error is not None:
-            # Truncate to the completed ticks; an interrupted block's
-            # partial state stays in the detector but its undecided
-            # columns are not reported.
-            flags = flags[:, :completed]
-            scores = scores[:, :completed]
-            missing = missing[:, :completed]
-            mitigated = mitigated[:, :completed]
-            latencies = latencies[:completed]
-            if labels is not None:
-                labels = labels[:, :completed]
-        return self._finalize(
-            reg, elapsed, latencies, flags, scores, mitigated, missing,
-            labels, station_names, error,
-        )
-
-    def _run_stream(
-        self,
-        ticks,
-        station_names: list[str] | None,
-        block_size: int,
-    ) -> StreamReport:
-        """Lazily consume an iterable of per-tick readings."""
-        n_stations = self.n_stations
-        flag_cols: list[np.ndarray] = []
-        score_cols: list[np.ndarray] = []
-        miss_cols: list[np.ndarray] = []
-        mit_cols: list[np.ndarray] = []
-        lat: list[float] = []
-
-        reg = obs.registry()
-        step_hist = self._step_histogram(reg, block_size)
-
-        def do_block(block: np.ndarray) -> None:
-            block_start = time.perf_counter()
-            out = self._step_block(block, reg)
-            block_elapsed = time.perf_counter() - block_start
-            for cols, decided in zip((flag_cols, score_cols, miss_cols, mit_cols), out):
-                cols.extend(decided.T)
-            lat.extend([block_elapsed / block.shape[1]] * block.shape[1])
-            if step_hist is not None:
-                step_hist.observe(block_elapsed)
-
-        error: BaseException | None = None
-        pending: list[np.ndarray] = []
-        start = time.perf_counter()
-        try:
-            for values in ticks:
-                values = np.asarray(values, dtype=np.float64)
-                if values.shape != (n_stations,):
-                    raise ValueError(
-                        f"each tick must be ({n_stations},), got {values.shape}"
-                    )
-                pending.append(values)
-                if len(pending) == block_size:
-                    do_block(np.stack(pending, axis=1))
-                    pending.clear()
-            if pending:
-                # Trailing partial block — same semantics as the
-                # materialized path's final short block.
-                do_block(np.stack(pending, axis=1))
-                pending.clear()
-        except (Exception, KeyboardInterrupt) as exc:
-            # Ticks delivered but not yet processed (a partial pending
-            # block) are dropped: only completed decisions are reported.
-            error = exc
-        elapsed = time.perf_counter() - start
-
-        def stack(cols: list[np.ndarray], dtype) -> np.ndarray:
-            if not cols:
-                return np.empty((n_stations, 0), dtype=dtype)
-            return np.stack(cols, axis=1)
-
-        return self._finalize(
-            reg,
-            elapsed,
-            np.asarray(lat, dtype=np.float64),
-            stack(flag_cols, bool),
-            stack(score_cols, np.float64),
-            stack(mit_cols, np.float64),
-            stack(miss_cols, bool),
-            None,
-            station_names,
-            error,
-        )
-
-
 class StreamReplayEngine(ReplayDriver):
     """Drive a fleet matrix through detection + mitigation, block by block."""
 
@@ -484,16 +430,19 @@ class StreamReplayEngine(ReplayDriver):
         self,
         detector: StreamingDetector,
         mitigator: StreamingMitigator | str | None = None,
-        feedback: bool = True,
+        *,
+        feedback: bool = False,
     ) -> None:
-        """``feedback`` (closed loop, default) writes each step's repaired
-        values back into the detector's window buffer, so one attacked
-        reading cannot smear flags onto the next ``sequence_length``
-        normal ticks.  Pass ``feedback=False`` for open-loop scoring that
-        matches the batch detector exactly (no effect without a
-        mitigator)."""
+        """Detection scores the raw readings and never sees a repair, as
+        in the batch filter.  ``feedback`` accepts only ``False``: the
+        closed loop that wrote repairs back into the window buffers was
+        removed, and ``feedback=True`` raises :class:`ValueError`."""
+        if feedback:
+            raise ValueError(
+                "feedback=True is not supported: the closed mitigation loop "
+                "was removed; repairs are never written back into detection"
+            )
         self.detector = detector
-        self.feedback = bool(feedback)
         # True once every station's fallback is wired (wiring is
         # monotone, so steady-state per-tick wiring calls are O(1)).
         self._fallback_wired = False
@@ -555,25 +504,9 @@ class StreamReplayEngine(ReplayDriver):
             if bool(np.isfinite(fallback).all()):
                 self._fallback_wired = True
 
-    def _writeback_mask(self, repair: np.ndarray, repaired: np.ndarray) -> np.ndarray:
-        """Which repaired entries may be amended into the window buffer.
-
-        Only finite repairs are written back (a no-anchor, no-fallback
-        station keeps the detector's internal impute in its buffer), and
-        only for stations whose scaler bounds are fitted — amending
-        requires re-scaling, which is undefined until the station has
-        observed a reading (a fallback repair can precede that when its
-        very first reading is missing).
-        """
-        writeback = repair & np.isfinite(repaired)
-        scaler = self.detector.scaler
-        if scaler is not None and not scaler.fitted.all():
-            writeback &= scaler.fitted[:, None]
-        return writeback
-
     @hot_path
     def _step_block(self, values: np.ndarray, reg) -> tuple:
-        """One closed-loop block: detect, mitigate, write back.
+        """One block: detect, then mitigate.
 
         The exact loop body of :meth:`run`, shared with live ingestion
         (:mod:`repro.serve`), so a served stream and an offline replay
@@ -586,15 +519,7 @@ class StreamReplayEngine(ReplayDriver):
         with reg.span("repro_stream_mitigate"):
             # Missing readings are repaired exactly like flagged ones:
             # the policy's causal impute replaces the NaN.
-            repair = result.flags | result.missing
-            mitigated = self.mitigator.mitigate_block(values, repair)
-            if self.feedback and repair.any():
-                # Mask-restricted: only repaired entries are written
-                # back, so clean readings keep the running-bounds
-                # scaling they were buffered with.
-                writeback = self._writeback_mask(repair, mitigated)
-                if writeback.any():
-                    self.detector.amend_block(mitigated, flags=writeback)
+            mitigated = self.mitigator.mitigate_block(values, result.flags | result.missing)
         return result.flags, result.scores, result.missing, mitigated
 
     def add_stations(
@@ -644,7 +569,6 @@ def create_engine(
     detector: StreamingDetector,
     mitigator=None,
     *,
-    feedback: bool = True,
     shards: int | None = None,
     seed=0,
     plan=None,
@@ -668,7 +592,7 @@ def create_engine(
     single-process engine.  The existing constructors stay untouched —
     this is sugar, not a replacement.
     """
-    pipeline = StreamReplayEngine(detector, mitigator, feedback=feedback)
+    pipeline = StreamReplayEngine(detector, mitigator)
     if shards is None or int(shards) <= 1:
         return pipeline
     from repro.stream.shard import ShardedFleetEngine

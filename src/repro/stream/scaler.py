@@ -236,7 +236,7 @@ class StreamingMinMaxScaler:
         causal imputes before anything downstream sees them.
         """
         if self.frozen:
-            # Fixed bounds: identical to the amend path's transform.
+            # Fixed bounds: the current-bounds transform.
             return self.transform_block_fixed_checked(values, stations, present)
         # Running bounds inclusive of the current column: exactly the
         # state a sequential partial_fit-then-transform would have seen.
@@ -277,9 +277,11 @@ class StreamingMinMaxScaler:
     ) -> np.ndarray:
         """Block transform under the *current* bounds only (no widening).
 
-        The closed-loop amend path re-scales repaired readings the same
-        way :meth:`transform` would — with whatever bounds stand now —
-        regardless of frozen state; repairs must never stretch the scale.
+        Scales the way :meth:`transform` would — with whatever bounds
+        stand now — regardless of frozen state.  The frozen path of
+        :meth:`transform_block_checked` and the detector's
+        ``amend_block`` (whose rewrites must never stretch the scale)
+        use it.
         ``present`` (optional) exempts stations whose entries are all
         missing from the fitted-bounds requirement (their outputs are
         placeholder garbage the detector overwrites with imputes).

@@ -4,7 +4,7 @@ The worker is deliberately thin — it builds a *real*
 :class:`~repro.stream.engine.StreamReplayEngine` over its shard's
 stations and serves step/churn/state commands over a duplex pipe.
 Because the shard-local pipeline is the exact single-engine code path
-(same detector, same mitigator, same closed loop), per-shard outputs
+(same detector, same mitigator, same step), per-shard outputs
 are bit-identical to the corresponding rows of a fleet-wide engine —
 the parity foundation the whole shard layer rests on.
 
@@ -20,12 +20,15 @@ Wire protocol (parent → worker, one tuple per request)::
 Replies are ``("ok", result)`` or ``("err", traceback_text)`` — a
 pipeline exception (e.g. NaN under ``missing="raise"``) is reported and
 the worker keeps serving, exactly as the in-process engine would raise
-and remain usable.
+and remain usable.  A worker exits on its own when its owner process
+dies (even by SIGKILL, with no ``stop`` sent).
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import traceback
+from multiprocessing.connection import wait
 
 from repro.stream import checkpoint as ckpt
 from repro.stream.shard import _shm
@@ -62,11 +65,27 @@ def _build_engine(payload: dict):
     return engine
 
 
+def _next_command(conn, owner_sentinel) -> tuple:
+    """The owner's next command; :class:`EOFError` once the owner is gone.
+
+    A fork-started worker inherits the parent-side ends of its own pipe
+    and of every older sibling's, so its pipe never reads EOF when the
+    owner dies.  The owner's process sentinel, which becomes ready when
+    the owner exits, is waited on alongside the pipe.  (A sibling forked
+    later holds the write end of this sentinel too; it exits first, on
+    its own sentinel, so the workers wind down youngest first.)
+    """
+    if conn not in wait([conn, owner_sentinel]):
+        raise EOFError
+    return conn.recv()
+
+
 def worker_main(conn) -> None:
-    """Serve shard commands until ``stop`` or a closed pipe."""
+    """Serve shard commands until ``stop``, a closed pipe or the owner's death."""
+    owner = multiprocessing.parent_process().sentinel
     engine = None
     try:
-        op, payload = conn.recv()
+        op, payload = _next_command(conn, owner)
         if op != "init":
             raise RuntimeError(f"worker expected init, got {op!r}")
         engine = _build_engine(payload)
@@ -81,7 +100,7 @@ def worker_main(conn) -> None:
         return
     while True:
         try:
-            msg = conn.recv()
+            msg = _next_command(conn, owner)
         except (EOFError, OSError):
             return
         op = msg[0]

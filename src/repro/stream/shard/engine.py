@@ -16,8 +16,8 @@ published once through ``multiprocessing.shared_memory`` instead of
 being pickled into every worker.
 
 Per step, the parent scatters each shard's rows of the ``(stations,
-B)`` block, the workers run the ordinary closed loop (detect →
-mitigate → write back) on their slices, and the parent gathers
+B)`` block, the workers run the ordinary pipeline step (detect →
+mitigate) on their slices, and the parent gathers
 flags/scores/missing/mitigated back into fleet-shaped arrays.  Because
 station state is strictly per-station and the forward pass is
 batch-composition-independent for the compact fleet-scale models, the
@@ -46,7 +46,6 @@ import numpy as np
 
 from repro import obs
 from repro.stream import checkpoint as ckpt
-from repro.stream.detector import StreamingDetector
 from repro.stream.engine import ReplayDriver, StreamReplayEngine
 from repro.stream.shard._shm import publish_weights
 from repro.stream.shard._worker import worker_main
@@ -95,10 +94,9 @@ class ShardedFleetEngine(ReplayDriver):
     pipeline:
         The calibrated fleet-wide pipeline to partition — a
         :class:`~repro.stream.engine.StreamReplayEngine` (detector +
-        mitigator + feedback flag) or a bare
-        :class:`~repro.stream.detector.StreamingDetector`.  Its state is
-        cloned into the workers; the original object is left untouched
-        (and no longer reflects the stream once workers start stepping).
+        optional mitigator).  Its state is cloned into the workers; the
+        original object is left untouched (and no longer reflects the
+        stream once workers start stepping).
     n_shards:
         Worker process count.  ``1`` is valid (useful as a
         process-isolation wrapper) and still bit-exact.
@@ -123,7 +121,7 @@ class ShardedFleetEngine(ReplayDriver):
 
     def __init__(
         self,
-        pipeline: StreamReplayEngine | StreamingDetector,
+        pipeline: StreamReplayEngine,
         n_shards: int,
         *,
         seed: SeedLike = 0,
@@ -131,19 +129,11 @@ class ShardedFleetEngine(ReplayDriver):
         mp_context=None,
         failover: bool = True,
     ) -> None:
-        if isinstance(pipeline, StreamReplayEngine):
-            detector = pipeline.detector
-            mitigator = pipeline.mitigator
-            feedback = pipeline.feedback
-        elif isinstance(pipeline, StreamingDetector):
-            detector = pipeline
-            mitigator = None
-            feedback = True
-        else:
+        if not isinstance(pipeline, StreamReplayEngine):
             raise TypeError(
-                f"pipeline must be a StreamReplayEngine or StreamingDetector, "
-                f"got {type(pipeline).__name__}"
+                f"pipeline must be a StreamReplayEngine, got {type(pipeline).__name__}"
             )
+        detector, mitigator = pipeline.detector, pipeline.mitigator
         if plan is None:
             plan = ShardPlan(detector.n_stations, n_shards, seed=seed)
         if plan.n_shards != n_shards:
@@ -155,7 +145,7 @@ class ShardedFleetEngine(ReplayDriver):
                 f"plan covers {plan.n_stations} stations, "
                 f"detector {detector.n_stations}"
             )
-        meta = ckpt.pipeline_meta(detector, mitigator, feedback)
+        meta = ckpt.pipeline_meta(detector, mitigator)
         weights = [
             np.ascontiguousarray(w)
             for w in detector.autoencoder.model.get_weights()
@@ -186,7 +176,6 @@ class ShardedFleetEngine(ReplayDriver):
         self._meta = meta
         self._weights = weights
         self.plan = plan
-        self.feedback = bool(meta["feedback"])
         self.failover = bool(failover)
         if mp_context is None:
             self._ctx = _default_context()

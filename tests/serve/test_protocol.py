@@ -193,9 +193,7 @@ class TestBatchFrames:
         assert q.tolist() == [7, 7, 7] and t.tolist() == [0.5] * 3
 
     def test_batch_data_nan_readings_survive(self):
-        ((_, body),) = decode_all(
-            pack_batch_data(np.arange(2), 0, 0.0, np.array([np.nan, 1.0]))
-        )
+        ((_, body),) = decode_all(pack_batch_data(np.arange(2), 0, 0.0, np.array([np.nan, 1.0])))
         readings = unpack_batch_data(body)[3]
         assert math.isnan(readings[0]) and readings[1] == 1.0
 
@@ -238,9 +236,7 @@ class TestBatchFrames:
 
     def test_large_batch_frame_decodes_beyond_scalar_limit(self):
         n = 2000  # 48KB body: larger than any v1 frame, within batch cap
-        frame = pack_batch_data(
-            np.zeros(n, dtype=np.int64), np.arange(n), 0.0, np.zeros(n)
-        )
+        frame = pack_batch_data(np.zeros(n, dtype=np.int64), np.arange(n), 0.0, np.zeros(n))
         assert len(frame) > MAX_FRAME_BODY + 5
         for chunk in (0, 1, 1000):
             ((ftype, body),) = decode_all(frame, chunk=chunk)
@@ -251,9 +247,7 @@ class TestBatchFrames:
         """A >MAX_FRAME_BODY length is only plausible for batch types;
         claimed by any other type byte it means the stream is desynced
         (e.g. chaos flipped the type byte) and must die, not buffer."""
-        frame = bytearray(
-            pack_batch_data(np.zeros(400, dtype=np.int64), 0, 0.0, np.zeros(400))
-        )
+        frame = bytearray(pack_batch_data(np.zeros(400, dtype=np.int64), 0, 0.0, np.zeros(400)))
         frame[5] = int(FrameType.DATA)
         with pytest.raises(ProtocolError, match="length"):
             decode_all(bytes(frame))
@@ -261,9 +255,7 @@ class TestBatchFrames:
     def test_corrupt_payload_in_large_batch_is_crc_not_fatal(self):
         """Payload corruption (type byte intact) stays a per-frame CRC
         event even beyond the scalar size limit — sync survives."""
-        frame = bytearray(
-            pack_batch_data(np.zeros(400, dtype=np.int64), 0, 0.0, np.zeros(400))
-        )
+        frame = bytearray(pack_batch_data(np.zeros(400, dtype=np.int64), 0, 0.0, np.zeros(400)))
         frame[100] ^= 0xFF
         follow = pack_data(1, 2, 3.0, 4.0)
         frames = decode_all(bytes(frame) + follow)
@@ -285,17 +277,13 @@ class TestNegotiationCodecs:
         assert negotiate_version({"v": [99]}) == 1  # no overlap -> floor
 
     def test_welcome_v2_advertises_batch_budget(self):
-        ((_, body),) = decode_all(
-            pack_welcome("s1", 32, version=2, max_batch=MAX_BATCH_RECORDS)
-        )
+        ((_, body),) = decode_all(pack_welcome("s1", 32, version=2, max_batch=MAX_BATCH_RECORDS))
         welcome = unpack_welcome(body)
         assert welcome["version"] == 2
         assert welcome["max_batch"] == MAX_BATCH_RECORDS
 
     def test_welcome_without_version_is_legacy_bytes(self):
-        assert pack_welcome("s1", 32) == pack_welcome(
-            "s1", 32, version=None, max_batch=None
-        )
+        assert pack_welcome("s1", 32) == pack_welcome("s1", 32, version=None, max_batch=None)
 
     @pytest.mark.parametrize(
         "field, value",

@@ -206,9 +206,7 @@ class TestBatchSoak:
         offline = build_engine(small_autoencoder, fleet).run(delivered, block_size=block)
         assert_served_equals(served, offline)
 
-    def test_type_flip_on_large_batch_frame_recovers_via_reconnect(
-        self, small_autoencoder
-    ):
+    def test_type_flip_on_large_batch_frame_recovers_via_reconnect(self, small_autoencoder):
         """Corrupting the *type byte* of a BATCH_DATA frame bigger than
         MAX_FRAME_BODY makes its length structurally implausible to the
         decoder — the server tears the session down instead of trusting
@@ -273,16 +271,12 @@ class TestBatchSoak:
                 lateness=lateness,
             )
             await server.start()
-            async with IngestClient(
-                port=server.port, client_id="first", seed=0
-            ) as client:
+            async with IngestClient(port=server.port, client_id="first", seed=0) as client:
                 await _send_block_stream(client, fleet)
                 await client.drain()
             # A second session replays old ticks as fresh batches: one
             # straddles the watermark (still pending), one is long gone.
-            async with IngestClient(
-                port=server.port, client_id="replayer", seed=1
-            ) as replayer:
+            async with IngestClient(port=server.port, client_id="replayer", seed=1) as replayer:
                 await replayer.send_block(stations, n_ticks - 1, fleet[:, n_ticks - 1])
                 await replayer.send_block(stations, 0, fleet[:, 0])
                 await replayer.drain()
@@ -299,9 +293,7 @@ class TestBatchSoak:
         assert_served_equals(served, offline)
 
 
-def _expected_churn_reference(
-    engine, pre_delivered, post_delivered, block, churn
-):
+def _expected_churn_reference(engine, pre_delivered, post_delivered, block, churn):
     """Engine-local ground truth: step_block, churn, step_block.
 
     Returns per-phase output dicts keyed like ``served()`` columns.
@@ -310,9 +302,7 @@ def _expected_churn_reference(
 
     def run_phase(delivered):
         for t in range(0, delivered.shape[1], block):
-            flags, scores, missing, mitigated = engine.step_block(
-                delivered[:, t : t + block]
-            )
+            flags, scores, missing, mitigated = engine.step_block(delivered[:, t : t + block])
             outs["flags"].append(flags)
             outs["scores"].append(scores)
             outs["missing"].append(missing)
@@ -376,9 +366,7 @@ class TestRemoteChurn:
             )
             await server.start()
             try:
-                async with IngestClient(
-                    port=server.port, client_id="ops", seed=0
-                ) as client:
+                async with IngestClient(port=server.port, client_id="ops", seed=0) as client:
                     await _send_block_stream(client, fleet_pre)
                     await client.drain()
                     new_width = await control_fn(client)
@@ -386,9 +374,7 @@ class TestRemoteChurn:
                     fleet_post = post_fn()
                     stations = np.arange(post_width, dtype=np.int64)
                     for t in range(self.T_POST):
-                        await client.send_block(
-                            stations, self.T_SENT + t, fleet_post[:, t]
-                        )
+                        await client.send_block(stations, self.T_SENT + t, fleet_post[:, t])
                     await client.drain()
                 await server.finish()
                 return server.served()
@@ -576,9 +562,7 @@ class TestRemoteChurn:
                 build_engine(small_autoencoder, fleet), block_size=4, lateness=2
             )
             await server.start()
-            async with IngestClient(
-                port=server.port, client_id="ops", seed=0
-            ) as client:
+            async with IngestClient(port=server.port, client_id="ops", seed=0) as client:
                 with pytest.raises(ControlError, match="strict subset"):
                     await client.drop_stations([0, 1, 2, 3])
                 assert server.n_stations == 4

@@ -71,9 +71,7 @@ class TestHmacAuth:
                     auth_secret="fleet-secret",
                 )
                 await server.start()
-                bad = IngestClient(
-                    port=server.port, token="not-a-signature", max_attempts=1
-                )
+                bad = IngestClient(port=server.port, token="not-a-signature", max_attempts=1)
                 with pytest.raises((ConnectionError, OSError)):
                     await bad.connect()
                 wrong_secret = IngestClient(
@@ -103,14 +101,10 @@ class TestHmacAuth:
                 auth_token="legacy-token",
             )
             await server.start()
-            legacy = IngestClient(
-                port=server.port, token="legacy-token", max_attempts=1
-            )
+            legacy = IngestClient(port=server.port, token="legacy-token", max_attempts=1)
             with pytest.raises((ConnectionError, OSError)):
                 await legacy.connect()
-            signed = IngestClient(
-                port=server.port, client_id="ok", secret="fleet-secret"
-            )
+            signed = IngestClient(port=server.port, client_id="ok", secret="fleet-secret")
             await signed.connect()
             await signed.close()
             await server.finish()
@@ -173,9 +167,7 @@ class TestRateLimiting:
 
     def test_default_burst_is_twice_rate(self, small_autoencoder):
         fleet = synthesize_fleet(1, 8, seed=26)
-        server = IngestionServer(
-            build_engine(small_autoencoder, fleet), rate_limit=10.0
-        )
+        server = IngestionServer(build_engine(small_autoencoder, fleet), rate_limit=10.0)
         assert server.rate_burst == 20.0
 
 
@@ -213,9 +205,7 @@ class TestShardedServe:
         np.testing.assert_array_equal(served["scores"], offline.scores)
         np.testing.assert_array_equal(served["mitigated"], offline.mitigated)
 
-    def test_sigterm_sharded_checkpoint_resume_bit_exact(
-        self, small_autoencoder, tmp_path
-    ):
+    def test_sigterm_sharded_checkpoint_resume_bit_exact(self, small_autoencoder, tmp_path):
         """SIGTERM → sharded checkpoint directory → resume, globally
         bit-exact against an uninterrupted offline run."""
         n_stations, n_ticks, block, split = 4, 32, 8, 19

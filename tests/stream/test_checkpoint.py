@@ -3,10 +3,10 @@
 The operational contract: save the pipeline at ANY tick/block boundary,
 reload it (fresh objects rebuilt purely from the directory's bytes),
 and the remaining stream must produce flags, scores and mitigated
-values **bit-identical** to an uninterrupted run — with closed-loop
-feedback, adaptive thresholds and every mitigation policy, in process
-or sharded.  A save that fails or is killed at any point must leave the
-previous checkpoint loadable.
+values **bit-identical** to an uninterrupted run — with adaptive
+thresholds and every mitigation policy, in process or sharded.  A save
+that fails or is killed at any point must leave the previous checkpoint
+loadable.
 """
 
 import json
@@ -134,7 +134,7 @@ class TestResumeParity:
         self, shard_autoencoder, tmp_path, policy, block_size
     ):
         """Property test: for random fleets, EVERY block boundary is a
-        valid resume point — closed loop, adaptive (p2) thresholds."""
+        valid resume point — mitigated, adaptive (p2) thresholds."""
         rng = np.random.default_rng(hash((policy, block_size)) % 2**32)
         seed = int(rng.integers(2**31))
         fleet = synthesize_fleet(3, 42, seed=seed)
@@ -343,14 +343,6 @@ class TestPipelineContract:
         restored, _extra = load_checkpoint(save_checkpoint(tmp_path / "live", live))
         second = restored.run(fleet[:, 20:], block_size=4)
         _assert_resumed_equals(reference, _concat(first, second))
-
-    def test_feedback_flag_roundtrips(self, shard_autoencoder, tmp_path):
-        fleet = synthesize_fleet(2, 20, seed=1)
-        scaler = StreamingMinMaxScaler.from_bounds(fleet.min(axis=1), fleet.max(axis=1))
-        detector = StreamingDetector(shard_autoencoder, 2, scaler=scaler, threshold=0.5)
-        engine = StreamReplayEngine(detector, "hold_last_good", feedback=False)
-        restored, _extra = load_checkpoint(save_checkpoint(tmp_path / "fb", engine))
-        assert restored.feedback is False
 
     def test_mitigator_constructor_params_roundtrip(self, shard_autoencoder, tmp_path):
         fleet = synthesize_fleet(2, 20, seed=1)
@@ -739,3 +731,13 @@ class TestRejections:
         (tmp_path / MANIFEST_NAME).write_text(json.dumps({"format": "nope"}))
         with pytest.raises(CheckpointError, match="not a stream checkpoint"):
             load_checkpoint(tmp_path)
+
+    def test_version_2_manifest_rejected(self, saved):
+        """Version 2 recorded the removed closed-loop mode; it is not resumed."""
+        manifest = _manifest(saved)
+        manifest["version"] = 2
+        manifest["pipeline"]["feedback"] = True
+        (saved / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="version 2 is not supported") as excinfo:
+            load_checkpoint(saved)
+        assert str(saved / MANIFEST_NAME) in str(excinfo.value)

@@ -68,8 +68,7 @@ class TestStreamReplayEngine:
         assert 0.0 <= report.metrics.false_positive_rate <= 1.0
         assert "detection:" in report.summary()
 
-    def test_feedback_stops_flag_smearing_after_a_spike(self, small_autoencoder):
-        """Closed loop repairs the buffer, so one spike flags one tick."""
+    def test_spike_is_repaired_to_the_held_value(self, small_autoencoder):
         length = small_autoencoder.config.sequence_length
         baseline = float(
             small_autoencoder.window_errors(np.full((1, length, 1), 0.5))[0]
@@ -77,23 +76,10 @@ class TestStreamReplayEngine:
         n_ticks = 4 * length
         fleet = np.full((1, n_ticks), 0.5)
         fleet[0, 2 * length] = 50.0  # one huge spike mid-stream
-
-        def run(feedback):
-            detector = StreamingDetector(
-                small_autoencoder, 1, threshold=baseline * 1.5
-            )
-            engine = StreamReplayEngine(
-                detector, mitigator="hold_last_good", feedback=feedback
-            )
-            return engine.run(fleet)
-
-        closed = run(True)
-        opened = run(False)
-        assert closed.flags.sum() == 1
-        assert closed.flags[0, 2 * length]
-        assert opened.flags.sum() >= closed.flags.sum()
-        # Either way the spike itself is repaired back to the held value.
-        assert closed.mitigated[0, 2 * length] == 0.5
+        detector = StreamingDetector(small_autoencoder, 1, threshold=baseline * 1.5)
+        report = StreamReplayEngine(detector, mitigator="hold_last_good").run(fleet)
+        assert report.flags[0, 2 * length]
+        assert report.mitigated[0, 2 * length] == 0.5
 
     def test_no_anchor_mitigation_wired_from_scaler(self, small_autoencoder):
         """Regression: a station attacked on its very first tick must
@@ -144,6 +130,41 @@ class TestStreamReplayEngine:
             engine.run(fleet, labels=np.zeros((2, 39), dtype=bool))
         with pytest.raises(ValueError, match="station_names"):
             engine.run(fleet, labels=np.zeros_like(fleet, dtype=bool), station_names=["x"])
+
+
+class TestOneMitigationLoop:
+    """Mitigation repairs the output stream only; detection never sees it."""
+
+    @pytest.mark.parametrize("block_size", [1, 8])
+    @pytest.mark.parametrize("policy", ["hold_last_good", "causal_linear", "seasonal_hold"])
+    def test_decisions_do_not_depend_on_the_mitigator(
+        self, small_autoencoder, tiny_clients, policy, block_size
+    ):
+        scenario = AttackScenario([DDoSVolumeAttack()], name="one-loop")
+        fleet, _labels, _names = attack_fleet(tiny_clients, scenario, seed=5, dropout_rate=0.1)
+
+        def run(mitigator):
+            detector = StreamingDetector(
+                small_autoencoder,
+                fleet.shape[0],
+                scaler=StreamingMinMaxScaler(fleet.shape[0]),
+                threshold=0.1,
+                missing="impute",
+            )
+            return StreamReplayEngine(detector, mitigator).run(fleet, block_size=block_size)
+
+        mitigated, detected = run(policy), run(None)
+        assert detected.flags.any() and detected.missing.any()
+        np.testing.assert_array_equal(mitigated.flags, detected.flags)
+        np.testing.assert_array_equal(mitigated.scores, detected.scores)
+        assert not np.array_equal(mitigated.mitigated, detected.mitigated, equal_nan=True)
+
+    def test_closed_loop_request_is_rejected(self, small_autoencoder):
+        fleet = synthesize_fleet(2, 20, seed=6)
+        with pytest.raises(ValueError, match="closed mitigation loop was removed"):
+            StreamReplayEngine(
+                _make_detector(small_autoencoder, fleet), "hold_last_good", feedback=True
+            )
 
 
 class TestFleetAdapters:
@@ -367,15 +388,10 @@ class TestCreateEngine:
             _make_detector(small_autoencoder, fleet), shards=1
         ).__class__ is StreamReplayEngine
 
-    def test_mitigator_and_feedback_forwarded(self, small_autoencoder):
+    def test_mitigator_forwarded(self, small_autoencoder):
         fleet = synthesize_fleet(3, 40, seed=31)
-        engine = create_engine(
-            _make_detector(small_autoencoder, fleet),
-            "hold_last_good",
-            feedback=False,
-        )
+        engine = create_engine(_make_detector(small_autoencoder, fleet), "hold_last_good")
         assert isinstance(engine.mitigator, HoldLastGoodMitigator)
-        assert engine.feedback is False
 
     def test_single_process_close_is_a_reusable_noop(self, small_autoencoder):
         fleet = synthesize_fleet(3, 24, seed=32)

@@ -239,8 +239,8 @@ class TestEngineIntegration:
     ):
         """Regression: a finite fallback repair on a station whose
         running-bounds scaler has never seen a reading (its very first
-        reading is missing) must not crash the closed-loop writeback —
-        tick and block replays both complete."""
+        reading is missing) must not crash mitigation — tick and block
+        replays both complete."""
         from repro.stream.mitigation import HoldLastGoodMitigator
 
         fleet = synthesize_fleet(3, 24, seed=11)

@@ -8,6 +8,9 @@ last snapshot and lands in the exact state it died with.
 
 import os
 import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -192,3 +195,58 @@ class TestFailoverDisabled:
         ) as engine:
             engine.step_block(live_fleet[:, :4])
             assert all(len(j) == 0 for j in engine._journal)
+
+
+#: Owner process: builds a 2-shard engine, reports its worker pids, idles.
+_OWNER = """
+import time
+from repro.anomaly.autoencoder import AutoencoderConfig, LSTMAutoencoder
+from repro.stream import StreamingDetector, StreamReplayEngine, synthesize_fleet
+from repro.stream.shard import ShardedFleetEngine
+
+config = AutoencoderConfig(
+    sequence_length=8, encoder_units=(6, 3), decoder_units=(3, 6), dropout=0.0
+)
+detector = StreamingDetector(LSTMAutoencoder(config, seed=11), 4, threshold=0.5)
+engine = ShardedFleetEngine(StreamReplayEngine(detector, "hold_last_good"), 2)
+engine.step_block(synthesize_fleet(4, 8, seed=1))
+print(*(worker.process.pid for worker in engine._workers), flush=True)
+time.sleep(600)
+"""
+
+
+def _gone(pid: int) -> bool:
+    """Whether ``pid`` has exited (a zombie awaiting its reaper counts)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+class TestOrphanedWorkers:
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process state from /proc")
+    def test_workers_exit_when_their_owner_is_sigkilled(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        with open(tmp_path / "owner.err", "w+") as err:
+            # The workers inherit the owner's stdout: read one line, never
+            # wait for EOF on it.
+            owner = subprocess.Popen(
+                [sys.executable, "-c", _OWNER], env=env, stdout=subprocess.PIPE, stderr=err,
+                text=True,
+            )
+            try:
+                pids = [int(pid) for pid in owner.stdout.readline().split()]
+            finally:
+                owner.kill()
+                owner.wait()
+                owner.stdout.close()
+            err.seek(0)
+            assert len(pids) == 2, err.read()
+        deadline = time.monotonic() + 30.0
+        while not all(_gone(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        alive = [pid for pid in pids if not _gone(pid)]
+        for pid in alive:
+            os.kill(pid, signal.SIGKILL)
+        assert not alive, f"shard workers {alive} outlived their SIGKILLed owner"

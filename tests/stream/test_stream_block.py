@@ -4,10 +4,9 @@ The block-ingestion contract (PR 3):
 
 * ``block_size=1`` reproduces the tick-by-tick pipeline **bit-for-bit**
   (detector, scaler, buffers, adaptive sketch, engine report);
-* for any ``B`` the open-loop results (fixed thresholds, no feedback)
-  are bit-identical to tick-by-tick replay — and hence to the batch
-  detector, whose parity with tick replay is already pinned by
-  ``test_stream_parity.py``;
+* for any ``B`` the results (fixed thresholds) are bit-identical to
+  tick-by-tick replay — and hence to the batch detector, whose parity
+  with tick replay is already pinned by ``test_stream_parity.py``;
 * every bulk bank API (``push_block``, ``partial_fit_block``,
   ``update_block``, ``mitigate_block``) equals its sequential
   counterpart exactly;
@@ -185,16 +184,14 @@ class TestEngineBlockMode:
     def test_open_loop_block_run_matches_tick_run(
         self, small_autoencoder, fleet, block_size
     ):
-        """Without feedback the closed loop never rewrites history, so the
-        block engine reproduces the tick engine for any block size —
-        including a trailing partial block (60 % 7 != 0)."""
+        """Mitigation never rewrites detection history, so the block
+        engine reproduces the tick engine for any block size — including
+        a trailing partial block (60 % 7 != 0)."""
 
         def run(block_size):
             detector = _detector(small_autoencoder, fleet)
             detector.calibrate(fleet)
-            engine = StreamReplayEngine(
-                detector, mitigator="hold_last_good", feedback=False
-            )
+            engine = StreamReplayEngine(detector, mitigator="hold_last_good")
             return engine.run(fleet, block_size=block_size)
 
         tick, block = run(1), run(block_size)
@@ -202,7 +199,7 @@ class TestEngineBlockMode:
         np.testing.assert_allclose(tick.scores, block.scores, rtol=1e-6, atol=0)
         np.testing.assert_array_equal(tick.mitigated, block.mitigated)
 
-    def test_closed_loop_block_run_produces_full_report(self, small_autoencoder, fleet):
+    def test_mitigated_block_run_produces_full_report(self, small_autoencoder, fleet):
         detector = _detector(small_autoencoder, fleet)
         detector.calibrate(fleet)
         engine = StreamReplayEngine(detector, mitigator="hold_last_good")
@@ -211,12 +208,10 @@ class TestEngineBlockMode:
         assert np.isfinite(report.latencies).all()
         assert report.ticks_per_second > 0
 
-    def test_closed_loop_amend_preserves_clean_history(
-        self, small_autoencoder, fleet
-    ):
-        """Feedback writes back only flagged entries: a clean station's
-        buffered history keeps its running-bounds scaling even when other
-        stations are repaired under end-of-block bounds."""
+    def test_masked_amend_preserves_clean_history(self, small_autoencoder, fleet):
+        """A masked amend rewrites only the selected entries: a clean
+        station's buffered history keeps its running-bounds scaling even
+        when other stations are rewritten under end-of-block bounds."""
         detector = _detector(small_autoencoder, fleet, frozen=False)
         detector.process_block(fleet[:, :20])
         before = detector.buffers.windows().copy()
