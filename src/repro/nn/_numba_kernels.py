@@ -12,6 +12,9 @@ Design notes:
   pass instead of ~10 dispatch+write cycles per LSTM step.
 * Every kernel comes in a serial and a ``prange``-parallel variant; the
   backend picks by batch size (fork/join overhead swamps small batches).
+* The LSTM kernel reads the layer's gate-major arrays — ``z``/``hz`` are
+  ``(4U, batch)``, the state ``(U, batch)`` — as ``z[j, b]``; ``prange``
+  still splits the batch, so each thread owns whole columns.
 * ``cache=True`` persists compiled machine code on disk, so only the
   first-ever process pays the JIT cost for a given dtype signature.
 * ``fastmath=False`` everywhere: kernels must track the numpy reference
@@ -55,37 +58,38 @@ def _sigmoid(x):
 
 @njit(cache=True, fastmath=False, inline="always")
 def _lstm_gates_row(z, hz, c_prev, c_out, h_out, tanh_c_out, b, units):
-    # Packed gate order (i, f, o, g): three sigmoid gates, then tanh.
+    # Gate-major (4U, batch) arrays, packed gate order (i, f, o, g):
+    # three sigmoid row blocks, then tanh; column b is one batch row.
     for j in range(units):
-        gi = _sigmoid(z[b, j] + hz[b, j])
-        gf = _sigmoid(z[b, units + j] + hz[b, units + j])
-        go = _sigmoid(z[b, 2 * units + j] + hz[b, 2 * units + j])
-        gg = math.tanh(z[b, 3 * units + j] + hz[b, 3 * units + j])
-        cc = gf * c_prev[b, j] + gi * gg
+        gi = _sigmoid(z[j, b] + hz[j, b])
+        gf = _sigmoid(z[units + j, b] + hz[units + j, b])
+        go = _sigmoid(z[2 * units + j, b] + hz[2 * units + j, b])
+        gg = math.tanh(z[3 * units + j, b] + hz[3 * units + j, b])
+        cc = gf * c_prev[j, b] + gi * gg
         tc = math.tanh(cc)
         # Activated gates overwrite the pre-activations: the numpy BPTT
         # backward consumes them from the training cache unchanged.
-        z[b, j] = gi
-        z[b, units + j] = gf
-        z[b, 2 * units + j] = go
-        z[b, 3 * units + j] = gg
-        c_out[b, j] = cc
-        tanh_c_out[b, j] = tc
-        h_out[b, j] = go * tc
+        z[j, b] = gi
+        z[units + j, b] = gf
+        z[2 * units + j, b] = go
+        z[3 * units + j, b] = gg
+        c_out[j, b] = cc
+        tanh_c_out[j, b] = tc
+        h_out[j, b] = go * tc
 
 
 @njit(cache=True, fastmath=False)
 def lstm_gates_serial(z, hz, c_prev, c_out, h_out, tanh_c_out):
-    batch = z.shape[0]
-    units = z.shape[1] // 4
+    units = z.shape[0] // 4
+    batch = z.shape[1]
     for b in range(batch):
         _lstm_gates_row(z, hz, c_prev, c_out, h_out, tanh_c_out, b, units)
 
 
 @njit(cache=True, fastmath=False, parallel=True)
 def lstm_gates_parallel(z, hz, c_prev, c_out, h_out, tanh_c_out):
-    batch = z.shape[0]
-    units = z.shape[1] // 4
+    units = z.shape[0] // 4
+    batch = z.shape[1]
     for b in prange(batch):
         _lstm_gates_row(z, hz, c_prev, c_out, h_out, tanh_c_out, b, units)
 

@@ -8,7 +8,9 @@ so a compiled implementation can replace them without touching layer
 code:
 
 * ``lstm_step`` — one LSTM timestep: packed-gate recurrent matmul,
-  fused sigmoid/tanh gate activations, and the cell/hidden state update.
+  fused sigmoid/tanh gate activations, and the cell/hidden state update,
+  all on gate-major ``(4 * units, batch)`` / ``(units, batch)`` arrays
+  so each gate is a contiguous row block.
 * ``dense_forward`` — dense projection with the bias add and activation
   fused into the output buffer.
 * ``window_errors`` / ``pointwise_errors`` — reconstruction-error
@@ -16,9 +18,11 @@ code:
 
 Two implementations ship:
 
-* ``"numpy"`` — the reference backend.  Bit-identical to the historical
-  inline path (same ops, same order, same buffers); always available and
-  the fallback whenever an accelerator is absent.
+* ``"numpy"`` — the reference backend: the same ufunc sequence as the
+  row-major formulation it came from, bit-identical to it wherever BLAS
+  returns the same bits for a product and its transposed view (see
+  :mod:`repro.nn.layers.lstm`); always available and the fallback
+  whenever an accelerator is absent.
 * ``"numba"`` — optional.  JIT-compiled kernels (``@njit(cache=True,
   fastmath=False)``) fuse the per-timestep elementwise chain that numpy
   ufuncs cannot, parallelised over the batch dimension for block-mode
@@ -88,15 +92,25 @@ class Backend:
         recurrent: np.ndarray,
         ws: dict[str, np.ndarray],
     ) -> None:
-        """One fused LSTM timestep in the packed ``(i, f, o, g)`` layout.
+        """One fused LSTM timestep in the packed ``(i, f, o, g)`` order.
 
-        ``z`` is ``(batch, 4 * units)`` holding ``x_t @ W + b``; the step
-        adds ``h_prev @ recurrent``, applies the gate activations (written
-        back into ``z`` for the BPTT cache), and updates the cell/hidden
-        state into ``c_out`` / ``h_out`` / ``tanh_c_out``.  ``c_out`` and
-        ``h_out`` may alias ``c_prev`` / ``h_prev`` (the inference path
-        updates state in place).  ``ws`` supplies the per-shape scratch
-        buffers (``hz``, ``tmp_u``, ``sig_work``, ``sig_num``, ``sig_neg``).
+        Every array is gate-major, batch on the last axis: ``z`` is
+        ``(4 * units, batch)`` holding ``x_t @ W + b``, so each gate is
+        one row block (``z[:units]`` is ``i``, ``z[3 * units:]`` is
+        ``g``); ``h_prev``, ``c_prev``, ``c_out``, ``h_out`` and
+        ``tanh_c_out`` are ``(units, batch)``.  The step adds the
+        recurrent term ``matmul(h_prev.T, recurrent, out=hz.T)``
+        (``recurrent`` is ``(units, 4 * units)``), applies the gate
+        activations (written back into ``z`` for the BPTT cache), and
+        updates the cell/hidden state into ``c_out`` / ``h_out`` /
+        ``tanh_c_out``.  ``c_out`` and ``h_out`` may alias ``c_prev`` /
+        ``h_prev`` (the inference path updates state in place); any of
+        them may be a strided view (the training forward passes
+        ``z[:, t]`` of a ``(4U, T, B)`` cache and ``h_out`` as the
+        transposed view of a row-major ``(B, U)`` row).  ``ws`` supplies
+        the per-shape scratch: ``hz`` ``(4 * units, batch)``, ``tmp_u``
+        ``(units, batch)`` and ``sig_work``, ``sig_num``, ``sig_neg``
+        ``(3 * units, batch)`` (the last bool).
         """
         raise NotImplementedError
 
@@ -123,28 +137,31 @@ class Backend:
 
 
 class NumpyBackend(Backend):
-    """Reference backend: the historical inline numpy path, verbatim.
+    """Reference backend: plain numpy ufuncs and BLAS matmuls.
 
-    Every kernel performs the exact operations (same order, same output
-    buffers) the layers ran before backends existed, so its results are
-    bit-identical to the pre-registry engine.
+    Every kernel performs the operations the layers ran before backends
+    existed, in the same order; ``lstm_step`` runs them on gate-major
+    arrays (``tests/nn/test_lstm_layout.py`` holds the row-major form
+    as its oracle).
     """
 
     name = "numpy"
 
     def lstm_step(self, z, h_prev, c_prev, c_out, h_out, tanh_c_out, recurrent, ws):
-        units = h_out.shape[1]
-        np.matmul(h_prev, recurrent, out=ws["hz"])
-        z += ws["hz"]
-        # One fused sigmoid over the contiguous (i, f, o) block, one tanh
+        units = h_out.shape[0]
+        hz = ws["hz"]
+        # Transposed view of the row-major (batch, units) @ (units, 4U).
+        np.matmul(h_prev.T, recurrent, out=hz.T)
+        z += hz
+        # One fused sigmoid over the contiguous (i, f, o) rows, one tanh
         # over g — z now holds the activated gates.
-        sigmoid_inplace(z[:, : 3 * units], ws["sig_work"], ws["sig_num"], ws["sig_neg"])
-        g = z[:, 3 * units :]
+        sigmoid_inplace(z[: 3 * units], ws["sig_work"], ws["sig_num"], ws["sig_neg"])
+        g = z[3 * units :]
         np.tanh(g, out=g)
 
-        i = z[:, :units]
-        f = z[:, units : 2 * units]
-        o = z[:, 2 * units : 3 * units]
+        i = z[:units]
+        f = z[units : 2 * units]
+        o = z[2 * units : 3 * units]
         tmp = ws["tmp_u"]
         np.multiply(f, c_prev, out=c_out)
         np.multiply(i, g, out=tmp)
@@ -201,8 +218,8 @@ class NumbaBackend(NumpyBackend):
 
     def lstm_step(self, z, h_prev, c_prev, c_out, h_out, tanh_c_out, recurrent, ws):
         hz = ws["hz"]
-        np.matmul(h_prev, recurrent, out=hz)
-        if z.shape[0] >= self.PARALLEL_MIN_ROWS:
+        np.matmul(h_prev.T, recurrent, out=hz.T)
+        if z.shape[1] >= self.PARALLEL_MIN_ROWS:
             self._kernels.lstm_gates_parallel(z, hz, c_prev, c_out, h_out, tanh_c_out)
         else:
             self._kernels.lstm_gates_serial(z, hz, c_prev, c_out, h_out, tanh_c_out)

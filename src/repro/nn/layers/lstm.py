@@ -6,7 +6,7 @@ autoencoder (``LSTM 50→25 / 25→50``) are built from this layer.
 
 Gate equations (Keras/standard orientation, gate order ``i, f, g, o``)::
 
-    z_t = x_t @ W_x + h_{t-1} @ W_h + b            # (batch, 4 * units)
+    z_t = x_t @ W_x + h_{t-1} @ W_h + b            # 4 * units gates
     i_t = sigmoid(z_i)    f_t = sigmoid(z_f)
     g_t = tanh(z_g)       o_t = sigmoid(z_o)
     c_t = f_t * c_{t-1} + i_t * g_t
@@ -24,8 +24,8 @@ order ``i, f, o, g`` so the three sigmoid gates form one contiguous
 block.  The per-timestep step itself (recurrent matmul + gate
 activations + state update) is dispatched through the pluggable
 :mod:`repro.nn.backend` registry — the default ``"numpy"`` backend
-applies a single fused in-place sigmoid over ``z[:, :3U]`` and one
-in-place tanh over ``z[:, 3U:]``, while the optional ``"numba"`` backend
+applies a single fused in-place sigmoid over ``z[:3U]`` and one
+in-place tanh over ``z[3U:]``, while the optional ``"numba"`` backend
 compiles the whole elementwise chain into one batch-parallel kernel.
 All per-timestep tensors (gate pre-activations, cell states, hidden
 states, matmul outputs) live in per-layer workspaces keyed by
@@ -39,10 +39,33 @@ when a weight's :attr:`~repro.nn.layers.base.Variable.version` changes
 (weight assignment and optimizer steps bump it; in-place mutation through
 a raw view must call ``Variable.touch()``).
 
-Workspaces are time-major (``(T, B, ...)``) so every per-timestep slice
-is contiguous.  Because workspaces are reused, a layer instance must not
-be driven from multiple threads concurrently (models are cheap — use one
-per thread, as the federated runtime does).
+Gate-major workspaces
+---------------------
+Every gate tensor is *gate-major*: one step's gates are a ``(4U, batch)``
+array and ``h``/``c``/``tanh(c)``/the step scratch are ``(U, batch)``, so
+each gate is one contiguous row block and every elementwise pass of the
+step runs over contiguous memory.  (Row-major ``(batch, 4U)`` gates make
+each gate a strided slice of U columns, with U as small as 4.)
+
+Each matmul is written as the transposed view of its row-major form,
+e.g. ``matmul(h.T, recurrent, out=hz.T)``.  Whether BLAS returns the
+same bits for both forms depends on its kernel, not on this layer:
+OpenBLAS's AVX-512 (SkylakeX) kernels do for short contractions — every
+float32 model up to 32 units checked (perfbench's 8-4-4-8 autoencoder,
+the fast profile's 32/16 layers) and float64 up to 8 — while for longer
+ones (the paper profile's 50-unit layers), and on its AVX2 (Haswell,
+Zen) kernels already at 8 units, results move in the last ulps
+(``tests/nn/test_lstm_layout.py`` probes which case holds).  The tensors
+BPTT hands to BLAS in bulk stay row-major and time-major, exactly as the
+row-major form had them: the input sequence ``(T, B, F)``, the hidden
+states ``(T, B, U)`` (written through ``hs[t].T``; also the layer
+output) and the gate-gradient staging ``(T, B, 4U)``, written through
+its per-step ``(4U, B)`` view.  The training forward caches gates as
+``(4U, T, B)`` so the input projection of all timesteps stays one gemm.
+
+Because workspaces are reused, a layer instance must not be driven from
+multiple threads concurrently (models are cheap — use one per thread, as
+the federated runtime does).
 """
 
 from __future__ import annotations
@@ -188,29 +211,30 @@ class LSTM(Layer):
             units = self.units
             features = int(self.input_shape[-1])
             dtype = self.dtype
-            b_u = (batch, units)
+            u_b = (units, batch)
             ws = {
-                # Time-major sequence tensors (contiguous per-step slices).
+                # Row-major BLAS operands (sequences time-major).
                 "x_tm": np.empty((timesteps, batch, features), dtype=dtype),
-                "z": np.empty((timesteps, batch, 4 * units), dtype=dtype),
                 "hs": np.empty((timesteps, batch, units), dtype=dtype),
-                "cs": np.empty((timesteps, batch, units), dtype=dtype),
-                "tanh_cs": np.empty((timesteps, batch, units), dtype=dtype),
                 "dz": np.empty((timesteps, batch, 4 * units), dtype=dtype),
                 "gi_tm": np.empty((timesteps, batch, features), dtype=dtype),
+                "dh_next": np.empty((batch, units), dtype=dtype),
+                # Gate-major: z[:, t] is step t's (4U, batch) gate block.
+                "z": np.empty((4 * units, timesteps, batch), dtype=dtype),
+                "cs": np.empty((timesteps, units, batch), dtype=dtype),
+                "tanh_cs": np.empty((timesteps, units, batch), dtype=dtype),
                 # Per-step scratch.
-                "state0": np.zeros(b_u, dtype=dtype),  # h_{-1} = c_{-1} = 0
-                "hz": np.empty((batch, 4 * units), dtype=dtype),
-                "tmp_u": np.empty(b_u, dtype=dtype),
-                "dh": np.empty(b_u, dtype=dtype),
-                "dh_next": np.empty(b_u, dtype=dtype),
-                "dc": np.empty(b_u, dtype=dtype),
-                "dc_next": np.empty(b_u, dtype=dtype),
-                "do": np.empty(b_u, dtype=dtype),
+                "state0": np.zeros(u_b, dtype=dtype),  # h_{-1} = c_{-1} = 0
+                "hz": np.empty((4 * units, batch), dtype=dtype),
+                "tmp_u": np.empty(u_b, dtype=dtype),
+                "dh": np.empty(u_b, dtype=dtype),
+                "dc": np.empty(u_b, dtype=dtype),
+                "dc_next": np.empty(u_b, dtype=dtype),
+                "do": np.empty(u_b, dtype=dtype),
                 # Fused-sigmoid scratch over the (i, f, o) block.
-                "sig_work": np.empty((batch, 3 * units), dtype=dtype),
-                "sig_num": np.empty((batch, 3 * units), dtype=dtype),
-                "sig_neg": np.empty((batch, 3 * units), dtype=bool),
+                "sig_work": np.empty((3 * units, batch), dtype=dtype),
+                "sig_num": np.empty((3 * units, batch), dtype=dtype),
+                "sig_neg": np.empty((3 * units, batch), dtype=bool),
             }
             if len(self._workspaces) >= _MAX_WORKSPACES:
                 self._workspaces.pop(next(iter(self._workspaces)))
@@ -227,15 +251,15 @@ class LSTM(Layer):
             dtype = self.dtype
             ws = {
                 "x_t": np.empty((batch, features), dtype=dtype),
-                "z": np.empty((batch, 4 * units), dtype=dtype),
-                "hz": np.empty((batch, 4 * units), dtype=dtype),
-                "h": np.empty((batch, units), dtype=dtype),
-                "c": np.empty((batch, units), dtype=dtype),
-                "tanh_c": np.empty((batch, units), dtype=dtype),
-                "tmp_u": np.empty((batch, units), dtype=dtype),
-                "sig_work": np.empty((batch, 3 * units), dtype=dtype),
-                "sig_num": np.empty((batch, 3 * units), dtype=dtype),
-                "sig_neg": np.empty((batch, 3 * units), dtype=bool),
+                "z": np.empty((4 * units, batch), dtype=dtype),
+                "hz": np.empty((4 * units, batch), dtype=dtype),
+                "h": np.empty((units, batch), dtype=dtype),
+                "c": np.empty((units, batch), dtype=dtype),
+                "tanh_c": np.empty((units, batch), dtype=dtype),
+                "tmp_u": np.empty((units, batch), dtype=dtype),
+                "sig_work": np.empty((3 * units, batch), dtype=dtype),
+                "sig_num": np.empty((3 * units, batch), dtype=dtype),
+                "sig_neg": np.empty((3 * units, batch), dtype=bool),
             }
             if len(self._infer_workspaces) >= _MAX_WORKSPACES:
                 self._infer_workspaces.pop(next(iter(self._infer_workspaces)))
@@ -249,13 +273,17 @@ class LSTM(Layer):
         """Cache-free forward pass for inference.
 
         Same gate math as :meth:`forward` (same fused kernels via the
-        same backend — outputs are bit-identical) but keeps only the
-        running ``h``/``c`` state instead of per-timestep BPTT caches, so
-        the working set is O(batch) and stays cache-resident no matter
-        how many windows one call scores.  That is what lets block-mode
-        streaming push ``B × n_stations`` windows through in ONE call:
-        per-ufunc dispatch amortises over the whole block while memory
-        traffic stays flat.  ``backward`` after ``infer`` is undefined.
+        same backend) but keeps only the running ``h``/``c`` state
+        instead of per-timestep BPTT caches, so the working set is
+        O(batch) and stays cache-resident no matter how many windows one
+        call scores.  That is what lets block-mode streaming push
+        ``B × n_stations`` windows through in ONE call: per-ufunc
+        dispatch amortises over the whole block while memory traffic
+        stays flat.  The state and gates are gate-major — ``z`` is
+        ``(4U, batch)``, ``h``/``c`` are ``(U, batch)`` — so every
+        elementwise pass is contiguous; inputs and outputs keep the
+        layer's ``(batch, timesteps, ...)`` layout.  ``backward`` after
+        ``infer`` is undefined.
 
         ``backend`` is an already-resolved backend handle (chunked
         callers resolve once); ``None`` resolves per call, never per step.
@@ -271,7 +299,8 @@ class LSTM(Layer):
         packed = self._refresh_packed()
         ws = self._infer_workspace(batch)
 
-        kernel, recurrent, bias = packed["kernel"], packed["recurrent"], packed["bias"]
+        kernel, recurrent = packed["kernel"], packed["recurrent"]
+        bias = packed["bias"][:, None]
         x_t, z = ws["x_t"], ws["z"]
         h, c, tanh_c = ws["h"], ws["c"], ws["tanh_c"]
         h.fill(0.0)
@@ -284,17 +313,17 @@ class LSTM(Layer):
 
         for t in range(timesteps):
             np.copyto(x_t, inputs[:, t, :])
-            np.matmul(x_t, kernel, out=z)
+            np.matmul(x_t, kernel, out=z.T)
             z += bias
             # Fused step: recurrent matmul + gate activations + in-place
             # state update, one backend kernel.
             bk.lstm_step(z, h, c, c, h, tanh_c, recurrent, ws)
             if out_seq is not None:
-                out_seq[:, t, :] = h
+                out_seq[:, t, :] = h.T
 
         if out_seq is not None:
             return out_seq
-        return h.copy()
+        return h.T.copy()
 
     # -- computation ----------------------------------------------------
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
@@ -310,17 +339,18 @@ class LSTM(Layer):
         packed = self._refresh_packed()
         ws = self._workspace(batch, timesteps)
 
-        # Input contribution for every timestep in one matmul, computed in
-        # the time-major workspace so each per-step slice is contiguous.
+        # Input contribution for every timestep in one matmul, written
+        # gate-major: z.reshape(4U, T * B) is the transposed view of the
+        # (T * B, 4U) product.
         x_tm = ws["x_tm"]
         x_tm[...] = inputs.transpose(1, 0, 2)
         z = ws["z"]
         np.matmul(
             x_tm.reshape(timesteps * batch, features),
             packed["kernel"],
-            out=z.reshape(timesteps * batch, 4 * units),
+            out=z.reshape(4 * units, timesteps * batch).T,
         )
-        z += packed["bias"]
+        z += packed["bias"][:, None, None]
 
         hs, cs, tanh_cs = ws["hs"], ws["cs"], ws["tanh_cs"]
         recurrent = packed["recurrent"]
@@ -329,10 +359,12 @@ class LSTM(Layer):
 
         for t in range(timesteps):
             # Fused step (backend-dispatched, resolved once above): the
-            # recurrent matmul, gate activations (written back into z[t]
-            # for the BPTT cache) and the state update into cs/hs/tanh_cs.
-            bk.lstm_step(z[t], h, c, cs[t], hs[t], tanh_cs[t], recurrent, ws)
-            h = hs[t]
+            # recurrent matmul, gate activations (written back into z for
+            # the BPTT cache) and the state update into cs/hs/tanh_cs.
+            # hs stays row-major; the step writes it through hs[t].T.
+            h_out = hs[t].T
+            bk.lstm_step(z[:, t], h, c, cs[t], h_out, tanh_cs[t], recurrent, ws)
+            h = h_out
             c = cs[t]
 
         self._cache = {"inputs": inputs, "ws": ws, "shape": (batch, timesteps, features)}
@@ -378,20 +410,20 @@ class LSTM(Layer):
         dc_next.fill(0.0)
 
         for t in range(timesteps - 1, -1, -1):
-            z_t = z[t]
-            i = z_t[:, :units]
-            f = z_t[:, units : 2 * units]
-            o = z_t[:, 2 * units : 3 * units]
-            g = z_t[:, 3 * units :]
+            z_t = z[:, t]
+            i = z_t[:units]
+            f = z_t[units : 2 * units]
+            o = z_t[2 * units : 3 * units]
+            g = z_t[3 * units :]
             tanh_c = tanh_cs[t]
             c_prev = cs[t - 1] if t > 0 else zeros_state
 
             if grad_tm is not None:
-                np.add(grad_tm[t], dh_next, out=dh)
+                np.add(grad_tm[t].T, dh_next.T, out=dh)
             elif t == timesteps - 1:
-                np.add(grad, dh_next, out=dh)
+                np.add(grad.T, dh_next.T, out=dh)
             else:
-                dh[...] = dh_next
+                dh[...] = dh_next.T
 
             # do = dh * tanh_c
             np.multiply(dh, tanh_c, out=do)
@@ -402,11 +434,14 @@ class LSTM(Layer):
             dc *= dh
             dc += dc_next
 
+            # Gate gradients go straight into the row-major staging row
+            # through its gate-major view: the BLAS calls below read it.
             dz_t = dz_all[t]
-            dz_i = dz_t[:, :units]
-            dz_f = dz_t[:, units : 2 * units]
-            dz_o = dz_t[:, 2 * units : 3 * units]
-            dz_g = dz_t[:, 3 * units :]
+            dz_gm = dz_t.T
+            dz_i = dz_gm[:units]
+            dz_f = dz_gm[units : 2 * units]
+            dz_o = dz_gm[2 * units : 3 * units]
+            dz_g = dz_gm[3 * units :]
             # dz_i = (dc * g) * i * (1 - i)
             np.multiply(dc, g, out=tmp)
             np.subtract(1.0, i, out=dz_i)

@@ -65,7 +65,8 @@ class TestParallelRounds:
         result = _run(max_workers=2)
         assert result.measured_wall_seconds > 0.0
         assert all(record.wall_seconds > 0.0 for record in result.rounds)
-        # The modelled views are still present and consistent.
+        # The modelled views are still present and consistent; this holds by
+        # construction: per round, max <= sum of the same client samples.
         assert result.parallel_seconds <= result.sequential_seconds
 
     def test_invalid_max_workers_rejected(self):

@@ -121,6 +121,7 @@ class TestFederatedSimulation:
         assert len(result.rounds) == 2
         assert result.aggregator_name == "fedavg"
         assert set(result.final_losses) == set(client_data)
+        # Holds by construction: per round, max <= sum of the same client samples.
         assert result.parallel_seconds <= result.sequential_seconds
 
     def test_clients_share_global_at_round_start(self, client_data):

@@ -369,21 +369,21 @@ class TestNumbaKernelLogicViaStub:
     def test_lstm_step_matches_numpy_kernel(self, rng, dtype, stub_backend):
         batch, units, tol = 4, 3, self_tolerance(dtype)
         shapes = {
-            "hz": (batch, 4 * units),
-            "tmp_u": (batch, units),
-            "sig_work": (batch, 3 * units),
-            "sig_num": (batch, 3 * units),
+            "hz": (4 * units, batch),
+            "tmp_u": (units, batch),
+            "sig_work": (3 * units, batch),
+            "sig_num": (3 * units, batch),
         }
         recurrent = np.asarray(rng.normal(size=(units, 4 * units)), dtype=dtype)
-        z0 = np.asarray(rng.normal(size=(batch, 4 * units), scale=2.0), dtype=dtype)
-        h0 = np.asarray(rng.normal(size=(batch, units)), dtype=dtype)
-        c0 = np.asarray(rng.normal(size=(batch, units)), dtype=dtype)
+        z0 = np.asarray(rng.normal(size=(4 * units, batch), scale=2.0), dtype=dtype)
+        h0 = np.asarray(rng.normal(size=(units, batch)), dtype=dtype)
+        c0 = np.asarray(rng.normal(size=(units, batch)), dtype=dtype)
         results = []
         for bk in (get_backend("numpy"), stub_backend):
             ws = {name: np.empty(shape, dtype=dtype) for name, shape in shapes.items()}
-            ws["sig_neg"] = np.empty((batch, 3 * units), dtype=bool)
+            ws["sig_neg"] = np.empty((3 * units, batch), dtype=bool)
             z, h, c = z0.copy(), h0.copy(), c0.copy()
-            tanh_c = np.empty((batch, units), dtype=dtype)
+            tanh_c = np.empty((units, batch), dtype=dtype)
             bk.lstm_step(z, h, c, c, h, tanh_c, recurrent, ws)
             results.append((z, h, c, tanh_c))
         for got, want in zip(results[1], results[0], strict=True):

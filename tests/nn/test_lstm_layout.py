@@ -1,0 +1,245 @@
+"""Parity of the gate-major LSTM with a row-major reference step.
+
+The layer keeps its gates gate-major — ``(4U, batch)`` per step — so
+each gate is a contiguous row block.  The oracle below is the row-major
+formulation it replaced: ``(batch, 4U)`` gates, the same packed
+``(i, f, o, g)`` order, the same ufunc sequence and the same BLAS
+operands.  The two agree on ``infer``, ``forward`` and every gradient
+``backward`` produces.
+
+They agree bit for bit exactly when BLAS returns the same bits for a
+row-major product and the transposed-view form the layer writes
+(``matmul(h.T, W, out=hz.T)``).  That is a property of the BLAS kernel,
+not of the layer: OpenBLAS's AVX-512 (SkylakeX) kernels give it for
+short contractions, its AVX2 (Haswell, Zen) kernels do not even at 8
+units.  So each case first probes the products the layer makes; where
+BLAS agrees, the layer must match the oracle bit for bit, elsewhere to
+float rounding.
+
+The layer is pinned to the numpy backend: the oracle is the numpy
+reference, and the numba backend is only tolerance-equal to it.
+"""
+
+import numpy as np
+import pytest
+
+from repro.nn.activations import sigmoid_inplace
+from repro.nn.layers import LSTM
+
+BATCHES = (1, 2, 3, 7, 64, 300)
+UNITS = (1, 4, 8, 50)
+FEATURES = (1, 3)
+DTYPES = ("float32", "float64")
+TIMESTEPS = 5
+
+
+# ---------------------------------------------------------------------------
+# Row-major oracle: gates are (batch, 4U), state is (batch, U).
+# ---------------------------------------------------------------------------
+
+
+def _packed(layer):
+    perm = layer._perm
+    return (
+        np.take(layer.variables[0].value, perm, axis=1),
+        np.take(layer.variables[1].value, perm, axis=1),
+        np.take(layer.variables[2].value, perm, axis=0),
+    )
+
+
+def _row_major_step(z, h_prev, c_prev, recurrent, units):
+    """One step on a (batch, 4U) gate buffer; returns (c, h, tanh_c)."""
+    hz = np.matmul(h_prev, recurrent)
+    z += hz
+    sig = z[:, : 3 * units]
+    sigmoid_inplace(
+        sig, np.empty_like(sig), np.empty_like(sig), np.empty(sig.shape, dtype=bool)
+    )
+    g = z[:, 3 * units :]
+    np.tanh(g, out=g)
+    i, f, o = z[:, :units], z[:, units : 2 * units], z[:, 2 * units : 3 * units]
+    c = np.multiply(f, c_prev)
+    c += np.multiply(i, g)
+    tanh_c = np.tanh(c)
+    return c, np.multiply(o, tanh_c), tanh_c
+
+
+def oracle_infer(layer, x):
+    kernel, recurrent, bias = _packed(layer)
+    batch, timesteps, _ = x.shape
+    units = layer.units
+    h = np.zeros((batch, units), dtype=layer.dtype)
+    c = np.zeros((batch, units), dtype=layer.dtype)
+    seq = []
+    for t in range(timesteps):
+        z = np.matmul(np.ascontiguousarray(x[:, t, :]), kernel)
+        z += bias
+        c, h, _ = _row_major_step(z, h, c, recurrent, units)
+        seq.append(h)
+    return np.stack(seq, axis=1) if layer.return_sequences else h
+
+
+def oracle_forward(layer, x):
+    """Row-major training forward; returns (output, BPTT cache)."""
+    kernel, recurrent, bias = _packed(layer)
+    batch, timesteps, features = x.shape
+    units = layer.units
+    x_tm = np.ascontiguousarray(x.transpose(1, 0, 2))
+    z = np.matmul(x_tm.reshape(timesteps * batch, features), kernel)
+    z = z.reshape(timesteps, batch, 4 * units)
+    z += bias
+    h = c = np.zeros((batch, units), dtype=layer.dtype)
+    hs, cs, tanh_cs = [], [], []
+    for t in range(timesteps):
+        c, h, tanh_c = _row_major_step(z[t], h, c, recurrent, units)
+        hs.append(h)
+        cs.append(c)
+        tanh_cs.append(tanh_c)
+    hs, cs, tanh_cs = np.stack(hs), np.stack(cs), np.stack(tanh_cs)
+    out = np.ascontiguousarray(hs.transpose(1, 0, 2)) if layer.return_sequences else hs[-1]
+    return out, (x_tm, z, hs, cs, tanh_cs)
+
+
+def oracle_backward(layer, cache, grad):
+    """Row-major BPTT; returns (input grad, kernel, recurrent, bias grads)."""
+    x_tm, z, hs, cs, tanh_cs = cache
+    kernel, recurrent, _ = _packed(layer)
+    kernel_t = np.ascontiguousarray(kernel.T)
+    recurrent_t = np.ascontiguousarray(recurrent.T)
+    timesteps, batch, features = x_tm.shape
+    units = layer.units
+    grad_tm = grad.transpose(1, 0, 2) if layer.return_sequences else None
+    dz_all = np.empty((timesteps, batch, 4 * units), dtype=layer.dtype)
+    gi_tm = np.empty((timesteps, batch, features), dtype=layer.dtype)
+    dh_next = np.zeros((batch, units), dtype=layer.dtype)
+    dc_next = np.zeros((batch, units), dtype=layer.dtype)
+    for t in range(timesteps - 1, -1, -1):
+        i, f = z[t][:, :units], z[t][:, units : 2 * units]
+        o, g = z[t][:, 2 * units : 3 * units], z[t][:, 3 * units :]
+        tanh_c = tanh_cs[t]
+        c_prev = cs[t - 1] if t > 0 else np.zeros_like(dh_next)
+        if grad_tm is not None:
+            dh = np.add(grad_tm[t], dh_next)
+        elif t == timesteps - 1:
+            dh = np.add(grad, dh_next)
+        else:
+            dh = dh_next.copy()
+        do = np.multiply(dh, tanh_c)
+        dc = np.multiply(tanh_c, tanh_c)
+        np.subtract(1.0, dc, out=dc)
+        dc *= o
+        dc *= dh
+        dc += dc_next
+        dz = dz_all[t]
+        dz_i, dz_f = dz[:, :units], dz[:, units : 2 * units]
+        dz_o, dz_g = dz[:, 2 * units : 3 * units], dz[:, 3 * units :]
+        tmp = np.multiply(dc, g)
+        np.subtract(1.0, i, out=dz_i)
+        dz_i *= i
+        dz_i *= tmp
+        tmp = np.multiply(dc, c_prev)
+        np.subtract(1.0, f, out=dz_f)
+        dz_f *= f
+        dz_f *= tmp
+        np.subtract(1.0, o, out=dz_o)
+        dz_o *= o
+        dz_o *= do
+        np.multiply(g, g, out=dz_g)
+        np.subtract(1.0, dz_g, out=dz_g)
+        dz_g *= i
+        dz_g *= dc
+        dc_next = np.multiply(dc, f)
+        dh_next = np.matmul(dz, recurrent_t)
+        np.matmul(dz, kernel_t, out=gi_tm[t])
+
+    perm = layer._perm
+    flat_dz = dz_all.reshape(timesteps * batch, 4 * units)
+    d_kernel = np.zeros_like(layer.variables[0].value)
+    d_recurrent = np.zeros_like(layer.variables[1].value)
+    d_bias = np.zeros_like(layer.variables[2].value)
+    d_kernel[:, perm] += np.matmul(flat_dz.T, x_tm.reshape(timesteps * batch, features)).T
+    d_bias[perm] += np.sum(flat_dz, axis=0)
+    if timesteps > 1:
+        d_recurrent[:, perm] += np.matmul(
+            dz_all[1:].reshape((timesteps - 1) * batch, 4 * units).T,
+            hs[:-1].reshape((timesteps - 1) * batch, units),
+        ).T
+    return np.ascontiguousarray(gi_tm.transpose(1, 0, 2)), d_kernel, d_recurrent, d_bias
+
+
+# ---------------------------------------------------------------------------
+
+
+def _layer(units, features, dtype, return_sequences):
+    rng = np.random.default_rng(units * 1000 + features)
+    layer = LSTM(units, return_sequences=return_sequences)
+    layer.dtype = np.dtype(dtype)
+    layer.build((TIMESTEPS, features), rng)
+    layer.backend = "numpy"
+    for variable in layer.variables:  # non-trivial bias, larger gate range
+        variable.assign(rng.normal(size=variable.value.shape, scale=0.6))
+    return layer
+
+
+def _blas_transposes_exactly(layer, batch):
+    """Whether BLAS gives the row-major bits for the layer's transposed forms.
+
+    Probes the three products the layer makes — the per-step and the
+    all-timesteps input projections, and the recurrent term — with the
+    output written through a transposed view, and the recurrent operand
+    both C- and F-ordered (``forward`` and ``infer`` pass each).
+    """
+    rng = np.random.default_rng(0)
+    kernel, recurrent, _ = _packed(layer)
+    for rows, weights in (
+        (batch, kernel),
+        (TIMESTEPS * batch, kernel),
+        (batch, recurrent),
+    ):
+        a = rng.normal(size=(rows, weights.shape[0])).astype(layer.dtype)
+        want = np.matmul(a, weights)
+        for operand in (a, np.asfortranarray(a)):
+            got = np.empty((weights.shape[1], rows), dtype=layer.dtype).T
+            np.matmul(operand, weights, out=got)
+            if not np.array_equal(got, want):
+                return False
+    return True
+
+
+def _assert_same(got, want, exact):
+    if exact:
+        np.testing.assert_array_equal(got, want)
+    else:
+        tol = 1e-5 if got.dtype == np.float32 else 1e-12
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("features", FEATURES)
+@pytest.mark.parametrize("units", UNITS)
+@pytest.mark.parametrize("return_sequences", [False, True])
+class TestGateMajorMatchesRowMajorOracle:
+    def test_infer(self, return_sequences, units, features, dtype):
+        layer = _layer(units, features, dtype, return_sequences)
+        rng = np.random.default_rng(7)
+        for batch in BATCHES:
+            x = rng.normal(size=(batch, TIMESTEPS, features), scale=1.5).astype(dtype)
+            exact = _blas_transposes_exactly(layer, batch)
+            _assert_same(layer.infer(x), oracle_infer(layer, x), exact)
+
+    def test_forward_and_backward(self, return_sequences, units, features, dtype):
+        layer = _layer(units, features, dtype, return_sequences)
+        rng = np.random.default_rng(11)
+        for batch in BATCHES:
+            x = rng.normal(size=(batch, TIMESTEPS, features), scale=1.5).astype(dtype)
+            want_out, cache = oracle_forward(layer, x)
+            exact = _blas_transposes_exactly(layer, batch)
+            _assert_same(layer.forward(x), want_out, exact)
+
+            grad = rng.normal(size=want_out.shape).astype(dtype)
+            layer.zero_grads()
+            got_input = layer.backward(grad)
+            want = oracle_backward(layer, cache, grad)
+            _assert_same(got_input, want[0], exact)
+            for variable, want_grad in zip(layer.variables, want[1:], strict=True):
+                _assert_same(variable.grad, want_grad, exact)

@@ -18,6 +18,7 @@ at the bottom.
 import hashlib
 import io
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -118,6 +119,11 @@ def rewrite_archive(ckpt_dir, name: str, mutate) -> None:
     with np.load(ckpt_dir / name, allow_pickle=False) as archive:
         arrays = {key: archive[key] for key in archive.files}
     mutate(arrays)
+    # np.savez's layout written by hand: savez(file, **arrays) rejects a
+    # fuzzed key named "file" or "allow_pickle".
     buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
+    with zipfile.ZipFile(buffer, "w") as archive:
+        for key, value in arrays.items():
+            with archive.open(f"{key}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, np.asanyarray(value), allow_pickle=True)
     replace_file(ckpt_dir, name, buffer.getvalue())
