@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -498,93 +497,6 @@ def slo_profile(args: argparse.Namespace) -> dict:
     }
 
 
-def scale_profile(args: argparse.Namespace) -> dict:
-    """Sharded fleet throughput across station counts and shard counts.
-
-    Sweeps ``--scale-stations`` fleets through a single-process replay
-    and through :class:`ShardedFleetEngine` at each ``--scale-shards``
-    worker count (``failover=False``: pure throughput, no journal),
-    reporting readings/s and readings/s-per-core.  The
-    ``speedup_sharded_vs_single`` metric is the best sharded/single
-    ratio observed at >= 2 shards; the in-code multi-core gate (sharded
-    must beat single-process) only arms when the box actually has >= 2
-    cores — worker processes cannot beat one process on one core.
-    """
-    from repro.stream.shard import ShardedFleetEngine
-
-    config = AutoencoderConfig(
-        sequence_length=12, encoder_units=(4, 2), decoder_units=(2, 4)
-    )
-    autoencoder = LSTMAutoencoder(config, seed=args.seed)
-    warmup = config.sequence_length - 1
-    ticks = args.scale_ticks
-    cores = os.cpu_count() or 1
-    station_counts = [int(n) for n in args.scale_stations.split(",") if n.strip()]
-    shard_counts = [int(k) for k in args.scale_shards.split(",") if k.strip()]
-
-    def build_pipeline(fleet: np.ndarray) -> StreamReplayEngine:
-        scaler = StreamingMinMaxScaler.from_bounds(
-            fleet.min(axis=1), fleet.max(axis=1)
-        )
-        detector = StreamingDetector(
-            autoencoder, fleet.shape[0], scaler=scaler, threshold=1.0
-        )
-        return StreamReplayEngine(detector, mitigator=None)
-
-    def timed_replay(engine, fleet: np.ndarray) -> float:
-        engine.step_block(fleet[:, :warmup])
-        start = time.perf_counter()
-        for first in range(warmup, warmup + ticks, args.block_size):
-            engine.step_block(fleet[:, first : first + args.block_size])
-        return time.perf_counter() - start
-
-    sweep = []
-    best_speedup = 0.0
-    for n_stations in station_counts:
-        fleet = synthesize_fleet(n_stations, warmup + ticks, seed=args.seed)
-        single_elapsed = timed_replay(build_pipeline(fleet), fleet)
-        single_rate = n_stations * ticks / single_elapsed
-        entry = {
-            "stations": n_stations,
-            "single_readings_per_second": single_rate,
-            "single_readings_per_second_per_core": single_rate,
-            "sharded": [],
-        }
-        for n_shards in shard_counts:
-            if n_shards < 2 or n_shards > n_stations:
-                continue
-            engine = ShardedFleetEngine(
-                build_pipeline(fleet), n_shards, failover=False
-            )
-            try:
-                elapsed = timed_replay(engine, fleet)
-            finally:
-                engine.close()
-            rate = n_stations * ticks / elapsed
-            entry["sharded"].append(
-                {
-                    "n_shards": n_shards,
-                    "readings_per_second": rate,
-                    "readings_per_second_per_core": rate / min(n_shards, cores),
-                    "speedup_vs_single": rate / single_rate,
-                }
-            )
-            best_speedup = max(best_speedup, rate / single_rate)
-        sweep.append(entry)
-
-    return {
-        "cores": cores,
-        "ticks": ticks,
-        "block_size": args.block_size,
-        "station_counts": station_counts,
-        "shard_counts": shard_counts,
-        "sweep": sweep,
-        # Best sharded/single ratio at >= 2 shards, baseline-gated like
-        # every other speedup_* metric.
-        "speedup_sharded_vs_single": best_speedup,
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--stations", type=int, default=1000)
@@ -620,15 +532,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="detector block size in the slo profile")
     parser.add_argument("--slo-fault-rate", type=float, default=0.01,
                         help="per-fault injection rate (drop/dup/reorder/delay) in the slo profile")
-    parser.add_argument("--scale-ticks", type=int, default=48,
-                        help="scored ticks per leg (scale profile)")
-    parser.add_argument("--scale-stations", default="1000,10000,50000",
-                        help="comma-separated station counts swept by the scale profile")
-    parser.add_argument("--scale-shards", default="1,2,4",
-                        help="comma-separated shard counts swept by the scale profile")
     parser.add_argument(
         "--profiles",
-        default="station_batching,block,ops,obs_overhead,slo,scale",
+        default="station_batching,block,ops,obs_overhead,slo",
         help="comma-separated subset of profiles to run",
     )
     parser.add_argument("--output", type=Path, default=Path("BENCH_streaming.json"))
@@ -652,10 +558,7 @@ def main(argv: list[str] | None = None) -> int:
         # Short smoke replays are noisier; more repeats keep the 5% gate honest.
         args.obs_repeats = max(args.obs_repeats, 5)
         args.slo_ticks = min(args.slo_ticks, 40)
-        args.scale_ticks = min(args.scale_ticks, 16)
-        args.scale_stations = "1000,4000"
-        args.scale_shards = "1,2"
-    known_profiles = ("station_batching", "block", "ops", "obs_overhead", "slo", "scale")
+    known_profiles = ("station_batching", "block", "ops", "obs_overhead", "slo")
     profiles = [name.strip() for name in args.profiles.split(",") if name.strip()]
     unknown = sorted(set(profiles) - set(known_profiles))
     if unknown:
@@ -752,27 +655,6 @@ def main(argv: list[str] | None = None) -> int:
             f"speedup {slo['speedup_batch_vs_per_reading']:.2f}x"
         )
 
-    scale = None
-    if "scale" in profiles:
-        print(
-            f"[bench_streaming] scale: stations {args.scale_stations} x "
-            f"shards {args.scale_shards} on {os.cpu_count() or 1} core(s) ...",
-            flush=True,
-        )
-        scale = scale_profile(args)
-        results["workloads"]["scale"] = scale
-        for entry in scale["sweep"]:
-            sharded = " | ".join(
-                f"{leg['n_shards']} shards: {leg['readings_per_second']:,.0f} r/s "
-                f"({leg['speedup_vs_single']:.2f}x)"
-                for leg in entry["sharded"]
-            )
-            print(
-                f"{entry['stations']} stations — single: "
-                f"{entry['single_readings_per_second']:,.0f} r/s"
-                + (f" | {sharded}" if sharded else "")
-            )
-
     args.output.write_text(json.dumps(results, indent=2) + "\n")
     print(f"[bench_streaming] wrote {args.output}")
 
@@ -803,17 +685,6 @@ def main(argv: list[str] | None = None) -> int:
             f"[bench_streaming] FAIL: v2 batch ingest only "
             f"{slo['speedup_batch_vs_per_reading']:.2f}x the v1 per-reading leg "
             f"at {slo['stations']} stations (required: >= 3x)"
-        )
-        return 1
-
-    # Worker processes cannot beat one process on one core, so the
-    # sharded-beats-single gate only arms on a multi-core box (CI's
-    # shard leg runs on >= 2-core runners).
-    if scale is not None and scale["cores"] >= 2 and scale["speedup_sharded_vs_single"] <= 1.0:
-        print(
-            f"[bench_streaming] FAIL: sharded fleet never beat single-process "
-            f"on {scale['cores']} cores "
-            f"(best {scale['speedup_sharded_vs_single']:.2f}x)"
         )
         return 1
 

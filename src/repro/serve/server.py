@@ -78,7 +78,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.reorder import OFFER_BY_CODE, ReorderBuffer
 from repro.stream.checkpoint import load_checkpoint, save_checkpoint
-from repro.stream.engine import ReplayDriver
+from repro.stream.engine import StreamReplayEngine
 
 class _TokenBucket:
     """Classic token bucket: ``rate`` refills/s up to ``burst`` capacity."""
@@ -129,13 +129,10 @@ class IngestionServer:
     Parameters
     ----------
     engine:
-        A calibrated replay engine whose detector was built with
-        ``missing="impute"`` (undelivered readings become NaN columns
-        and *must* be imputable) — either the in-process
-        :class:`~repro.stream.engine.StreamReplayEngine` or a
-        :class:`~repro.stream.shard.ShardedFleetEngine` fronting a
-        worker fleet; the server routes blocks through whichever
-        ``step_block`` it is handed.
+        A calibrated :class:`~repro.stream.engine.StreamReplayEngine`
+        whose detector was built with ``missing="impute"`` (undelivered
+        readings become NaN columns and *must* be imputable); the server
+        routes every block through its ``step_block``.
     block_size:
         Ticks per detector block; the batcher only fires full blocks.
     lateness, capacity:
@@ -180,7 +177,7 @@ class IngestionServer:
 
     def __init__(
         self,
-        engine: ReplayDriver,
+        engine: StreamReplayEngine,
         *,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -197,7 +194,7 @@ class IngestionServer:
         checkpoint_path=None,
         start_tick: int = 0,
     ) -> None:
-        if engine.missing_mode != "impute":
+        if engine.detector.missing != "impute":
             raise ValueError(
                 "the served detector must be built with missing='impute': "
                 "undelivered readings become NaN columns"
@@ -350,11 +347,7 @@ class IngestionServer:
 
     @classmethod
     def from_checkpoint(cls, path, **kwargs) -> "IngestionServer":
-        """Rebuild a server exactly as :meth:`shutdown` left it.
-
-        A sharded checkpoint respawns the worker fleet before serving
-        resumes.
-        """
+        """Rebuild a server exactly as :meth:`shutdown` left it."""
         engine, extra = load_checkpoint(path)
         kwargs.setdefault("block_size", int(extra["serve.block_size"]))
         server = cls(engine, **kwargs)

@@ -31,11 +31,8 @@ shrink at runtime (``add_stations``/``drop_stations`` on the detector,
 engine and every state bank), and NaN readings can be accepted as
 missing data (``StreamingDetector(..., missing="impute")``) — imputed
 causally, excluded from scaler/threshold adaptation, and counted
-per-station in the report.  For fleets larger than one process,
-:mod:`repro.stream.shard` runs the same pipeline as N shard-local
-worker processes behind one engine facade — bit-exact against the
-single-engine path, saved in the same checkpoint format (one member
-file per shard) and with worker failover.
+per-station in the report.  One in-process
+:class:`~repro.stream.engine.StreamReplayEngine` runs the whole fleet.
 
 Quickstart::
 
@@ -60,12 +57,10 @@ from repro.stream.checkpoint import (
 )
 from repro.stream.detector import BlockResult, StreamingDetector, TickResult
 from repro.stream.engine import (
-    ReplayDriver,
     StreamInterrupted,
     StreamReplayEngine,
     StreamReport,
     attack_fleet,
-    create_engine,
     synthesize_fleet,
 )
 from repro.stream.mitigation import (
@@ -89,12 +84,10 @@ __all__ = [
     "BlockResult",
     "StreamingDetector",
     "TickResult",
-    "ReplayDriver",
     "StreamInterrupted",
     "StreamReplayEngine",
     "StreamReport",
     "attack_fleet",
-    "create_engine",
     "synthesize_fleet",
     "CausalLinearMitigator",
     "HoldLastGoodMitigator",

@@ -4,36 +4,26 @@ A long-running stream deployment must survive process restarts: losing
 the detector's ring buffers, scaler bounds, P² sketch, threshold state,
 or the mitigator's anchors means minutes of warmup and different
 decisions after every restart.  :func:`save_checkpoint` writes the
-*entire* pipeline of either engine kind — an in-process
-:class:`~repro.stream.engine.StreamReplayEngine` or a multi-process
-:class:`~repro.stream.shard.ShardedFleetEngine` — to one directory::
+*entire* pipeline of a :class:`~repro.stream.engine.StreamReplayEngine`
+to one directory::
 
     ckpt/
-      manifest.json        format, pipeline recipe, tick, assignment, file table
-      model-<g>.npz        trained autoencoder weights
-      shard-0000-<g>.npz   shard 0's station list + detector/mitigator state
-      shard-0001-<g>.npz   ...
-      extra-<g>.npz        caller-provided named arrays (optional)
+      manifest.json   format, pipeline recipe, tick, n_stations, file table
+      model-<g>.npz   trained autoencoder weights
+      state-<g>.npz   detector + mitigator state
+      extra-<g>.npz   caller-provided named arrays (optional)
 
-An in-process engine is the one-shard case: every station in shard 0.
 :func:`load_checkpoint` rebuilds the pipeline with **bit-exact resume
 parity**: checkpoint at any tick/block boundary, reload, and the
 remaining stream produces the same flags, scores and mitigated values an
 uninterrupted run would have (see ``tests/stream/test_checkpoint.py``).
-A one-shard manifest restores in-process; two or more shards restore a
-:class:`~repro.stream.shard.ShardedFleetEngine` on the saved plan.
 
 Saves are crash-consistent by construction.  Every file a save writes
 gets a fresh generation suffix ``<g>``, so no file the committed
 manifest references is ever overwritten; the manifest is replaced last,
 atomically, and only after that commit are the files it no longer lists
 deleted.  A save that fails or is killed at any point leaves the
-previous checkpoint loadable.  A sharded engine reuses a member file,
-bytes and mtime untouched, when its shard has not changed since the
-engine wrote or loaded that exact file (name + SHA-256) and the
-directory's manifest still lists it.  An in-process engine's detector
-is public, so the engine cannot know its state is unchanged: it
-rewrites every file.
+previous checkpoint loadable.  Every save writes every file.
 
 The loader verifies each referenced file against the manifest's size
 and SHA-256, accepts only the bare file names the writer produces, and
@@ -80,18 +70,19 @@ from repro.nn import Adam
 from repro.nn.serialization import model_from_config, model_to_config
 from repro.stream._state import nest, unnest
 from repro.stream.detector import StreamingDetector
-from repro.stream.engine import ReplayDriver, StreamReplayEngine
+from repro.stream.engine import StreamReplayEngine
 from repro.stream.mitigation import _REGISTRY, StreamingMitigator
 from repro.stream.scaler import StreamingMinMaxScaler
 
 _FORMAT = "repro.stream.checkpoint"
-#: 3: the pipeline recipe no longer records a mitigation-loop mode.  A
-#: version-2 manifest may have been saved with the removed closed loop,
-#: so it is rejected rather than resumed under different semantics.
-_VERSION = 3
+#: 4: one ``state`` file and an ``n_stations`` record replace version
+#: 3's table of member files and its station assignment.  Version 2 may
+#: have been saved with the removed closed mitigation loop.  Neither is
+#: resumed: both are rejected.
+_VERSION = 4
 MANIFEST_NAME = "manifest.json"
 #: Every data file the writer produces: ``<role>-<generation>.npz``.
-_DATA_FILE = re.compile(r"(?:model|extra|shard-\d{4})-(\d+)\.npz")
+_DATA_FILE = re.compile(r"(?:model|state|extra)-(\d+)\.npz")
 
 
 class CheckpointError(ValueError):
@@ -150,17 +141,16 @@ def _mitigator_meta(mitigator: StreamingMitigator) -> dict:
     return {"name": mitigator.name, "config": mitigator.get_config()}
 
 
-def pipeline_meta(
+def _pipeline_meta(
     detector: StreamingDetector,
     mitigator: StreamingMitigator | None,
 ) -> dict:
     """The JSON-serializable rebuild recipe for a pipeline.
 
-    Everything :func:`build_engine` needs to reconstruct the exact
-    detector/mitigator *structure* apart from the fleet size, which
-    every rebuild passes explicitly (a shard rebuilds at its own size).
-    State travels separately as ``state_dict()`` arrays.  The manifest
-    stores it as ``pipeline``; a sharded engine ships it to its workers.
+    Everything :func:`_build_engine` needs to reconstruct the exact
+    detector/mitigator *structure* apart from the fleet size, which the
+    manifest records as ``n_stations``.  State travels separately as
+    ``state_dict()`` arrays.  The manifest stores it as ``pipeline``.
     """
     return {
         "detector": {
@@ -180,7 +170,7 @@ def pipeline_meta(
     }
 
 
-def build_autoencoder(meta: dict, weights: list[np.ndarray]) -> LSTMAutoencoder:
+def _build_autoencoder(meta: dict, weights: list[np.ndarray]) -> LSTMAutoencoder:
     """Rebuild the exact saved autoencoder (architecture, dtype, weights)."""
     ae_config = dict(meta["autoencoder"])
     ae_config["encoder_units"] = tuple(ae_config["encoder_units"])
@@ -192,27 +182,16 @@ def build_autoencoder(meta: dict, weights: list[np.ndarray]) -> LSTMAutoencoder:
     return LSTMAutoencoder.from_model(config, model)
 
 
-def engine_state(engine: StreamReplayEngine) -> dict:
-    """An engine's resumable ``{"detector", "mitigator"}`` state."""
-    mitigator = engine.mitigator
-    return {
-        "detector": engine.detector.state_dict(),
-        "mitigator": None if mitigator is None else mitigator.state_dict(),
-    }
-
-
-def build_engine(
+def _build_engine(
     meta: dict, autoencoder: LSTMAutoencoder, state: dict, n_stations: int
 ) -> StreamReplayEngine:
-    """Rebuild an in-process engine from its recipe, model and state.
+    """Rebuild an engine from its recipe, model and state.
 
-    The one rebuild path: checkpoint restore, shard worker start-up and
-    worker respawn all come through here.  The mitigator's no-anchor
-    ``fallback`` is part of the serialized state: the engine
-    constructor's automatic scaler wiring must not re-derive it from
-    the *restored* bounds (which may have widened since the original
-    engine was built), or the resumed run could repair no-anchor flags
-    differently than the uninterrupted one.
+    The mitigator's no-anchor ``fallback`` is part of the serialized
+    state: the engine constructor's automatic scaler wiring must not
+    re-derive it from the *restored* bounds (which may have widened
+    since the original engine was built), or the resumed run could
+    repair no-anchor flags differently than the uninterrupted one.
     """
     detector_meta = meta["detector"]
     scaler = None
@@ -274,28 +253,20 @@ def _read_manifest(path: Path) -> dict:
             f"checkpoint manifest {where}: version {manifest.get('version')!r} is "
             f"not supported (this build reads version {_VERSION})"
         )
-    shards = manifest.get("shards")
-    assignment = manifest.get("assignment")
-    pipeline = manifest.get("pipeline")
     problem = None
     if not _is_int(manifest.get("tick")) or manifest["tick"] < 0:
         problem = "no valid tick"
+    elif not _is_int(manifest.get("n_stations")) or manifest["n_stations"] < 1:
+        problem = "no valid station count"
     elif not isinstance(manifest.get("library", {}), dict):
         problem = "a malformed library record"
-    elif not isinstance(pipeline, dict):
+    elif not isinstance(manifest.get("pipeline"), dict):
         problem = "no valid pipeline recipe"
-    elif not isinstance(shards, list) or not shards:
-        problem = "no shard table"
-    elif not isinstance(assignment, list) or not assignment:
-        problem = "no station assignment"
-    elif not all(_is_int(s) and 0 <= s < len(shards) for s in assignment):
-        problem = f"an assignment that routes stations outside its {len(shards)} shards"
     else:
-        entries = [("model", manifest.get("model"))]
-        entries += [(f"shard-{s:04d}", entry) for s, entry in enumerate(shards)]
-        if manifest.get("extra") is not None:
-            entries.append(("extra", manifest["extra"]))
-        for role, entry in entries:
+        for role in ("model", "state", "extra"):
+            entry = manifest.get(role)
+            if role == "extra" and entry is None:
+                continue
             if not (
                 isinstance(entry, dict)
                 and isinstance(entry.get("file"), str)
@@ -311,10 +282,10 @@ def _read_manifest(path: Path) -> dict:
     return manifest
 
 
-def _listed(manifest: dict) -> set[str]:
-    """Names of every data file ``manifest`` references."""
-    entries = [manifest["model"], *manifest["shards"], manifest.get("extra")]
-    return {entry["file"] for entry in entries if entry is not None}
+def _entries(manifest: dict) -> list[dict]:
+    """The file-table entries ``manifest`` lists."""
+    entries = [manifest["model"], manifest["state"], manifest.get("extra")]
+    return [entry for entry in entries if entry is not None]
 
 
 def _committed(path: Path) -> dict | None:
@@ -339,71 +310,34 @@ def _write_archive(path: Path, name: str, arrays: dict, written: list[Path]) -> 
     return {"file": name, "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
 
 
-def _reusable(path: Path, record: dict | None, listed: dict | None) -> bool:
-    """Whether the file the engine last wrote or loaded is still committed here."""
-    return record is not None and record == listed and (path / record["file"]).is_file()
-
-
 def save_checkpoint(
     path: str | Path,
-    engine: ReplayDriver,
+    engine: StreamReplayEngine,
     extra: dict[str, np.ndarray] | None = None,
 ) -> Path:
     """Write (or refresh) the checkpoint directory ``path``; return it.
 
-    ``engine`` is a :class:`~repro.stream.engine.StreamReplayEngine` or
-    a :class:`~repro.stream.shard.ShardedFleetEngine`.  ``extra`` stashes
-    arbitrary named arrays (e.g. the replay position in an offline fleet
-    matrix) alongside the pipeline; it is rewritten every save.
-
-    Saving a sharded engine fetches and writes only the shards that
-    changed since their file was committed, and refreshes the engine's
-    failover baseline from the states written (truncating the gap-replay
-    journal).
+    ``extra`` stashes arbitrary named arrays (e.g. the replay position
+    in an offline fleet matrix) alongside the pipeline; it is rewritten
+    every save.
     """
     reg = obs.registry()
     save_start = time.perf_counter()
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    if isinstance(engine, StreamReplayEngine):
-        recipe = pipeline_meta(engine.detector, engine.mitigator)
-        weights = engine.detector.autoencoder.model.get_weights()
-        tick = engine.detector.tick
-        assignment = np.zeros(engine.n_stations, dtype=np.int64)
-        members = [np.arange(engine.n_stations, dtype=np.int64)]
-        saved_model, saved = None, [None]
-
-        def shard_state(_shard: int) -> dict:
-            return engine_state(engine)
-
-    else:
-        recipe, weights, tick = engine._meta, engine._weights, engine.tick
-        assignment, members = engine.plan.assignment, engine._members
-        saved_model, saved = engine._saved_model, engine._saved
-        shard_state = engine.shard_state
-
-    previous = _committed(path) or {"model": None, "shards": []}
+    recipe = _pipeline_meta(engine.detector, engine.mitigator)
     generation = 1 + max(
         (g for f in path.iterdir() if (g := _generation(f.name)) is not None), default=-1
     )
     written: list[Path] = []
-    states: dict[int, dict] = {}
     try:
-        model = previous["model"]
-        if not _reusable(path, saved_model, model):
-            arrays = {f"w{i}": w for i, w in enumerate(weights)}
-            model = _write_archive(path, f"model-{generation}.npz", arrays, written)
-        shards = []
-        for s, stations in enumerate(members):
-            entry = previous["shards"][s] if s < len(previous["shards"]) else None
-            if not _reusable(path, saved[s], entry):
-                states[s] = state = shard_state(s)
-                arrays = {"members": stations} | nest("detector", state["detector"])
-                if state["mitigator"] is not None:
-                    arrays |= nest("mitigator", state["mitigator"])
-                name = f"shard-{s:04d}-{generation}.npz"
-                entry = _write_archive(path, name, arrays, written)
-            shards.append(entry)
+        weights = engine.detector.autoencoder.model.get_weights()
+        arrays = {f"w{i}": w for i, w in enumerate(weights)}
+        model = _write_archive(path, f"model-{generation}.npz", arrays, written)
+        arrays = nest("detector", engine.detector.state_dict())
+        if engine.mitigator is not None:
+            arrays |= nest("mitigator", engine.mitigator.state_dict())
+        state = _write_archive(path, f"state-{generation}.npz", arrays, written)
         extra_entry = None
         if extra:
             arrays = {key: np.asarray(value) for key, value in extra.items()}
@@ -419,11 +353,11 @@ def save_checkpoint(
                 "numpy": np.__version__,
                 "created_unix": time.time(),  # reprolint: disable=RPR004
             },
-            "tick": int(tick),
-            "assignment": assignment.tolist(),
+            "tick": int(engine.detector.tick),
+            "n_stations": int(engine.n_stations),
             "pipeline": recipe,
             "model": model,
-            "shards": shards,
+            "state": state,
             "extra": extra_entry,
         }
         text = json.dumps(manifest, indent=2) + "\n"
@@ -431,14 +365,13 @@ def save_checkpoint(
         write_atomic(path / MANIFEST_NAME, lambda fh: fh.write(text.encode()))
     except BaseException:
         current = _committed(path)
-        keep = set() if current is None else _listed(current)
+        keep = set() if current is None else {entry["file"] for entry in _entries(current)}
         for file in written:
             if file.name not in keep:
                 file.unlink(missing_ok=True)
         raise
-    if not isinstance(engine, StreamReplayEngine):
-        engine._saved_as(model, shards, states)
-    keep = _listed(manifest)
+    entries = _entries(manifest)
+    keep = {entry["file"] for entry in entries}
     for file in path.iterdir():
         if _generation(file.name) is not None and file.name not in keep:
             file.unlink(missing_ok=True)
@@ -447,14 +380,10 @@ def save_checkpoint(
             "repro_stream_checkpoint_save_seconds", help="Wall-clock of save_checkpoint."
         ).observe(time.perf_counter() - save_start)
         reg.counter("repro_stream_checkpoint_saves_total", help="Checkpoints written.").inc()
-        reg.counter(
-            "repro_stream_checkpoint_members_written_total",
-            help="Shard member files written (a sharded save reuses unchanged shards).",
-        ).inc(len(states))
         reg.gauge(
             "repro_stream_checkpoint_bytes",
             help="Total size of the files the latest checkpoint manifest references.",
-        ).set(float(sum(e["bytes"] for e in [model, *shards, extra_entry] if e is not None)))
+        ).set(float(sum(entry["bytes"] for entry in entries)))
     return path
 
 
@@ -488,27 +417,14 @@ def _read_archive(path: Path, entry: dict) -> dict[str, np.ndarray]:
         ) from exc
 
 
-def load_checkpoint(
-    path: str | Path,
-    *,
-    mp_context=None,
-    failover: bool = True,
-) -> tuple[ReplayDriver, dict[str, np.ndarray]]:
+def load_checkpoint(path: str | Path) -> tuple[StreamReplayEngine, dict[str, np.ndarray]]:
     """Rebuild the engine saved by :func:`save_checkpoint`; return ``(engine, extra)``.
 
-    A one-shard checkpoint restores a
-    :class:`~repro.stream.engine.StreamReplayEngine`; more shards
-    restore a :class:`~repro.stream.shard.ShardedFleetEngine` on the
-    saved plan (``mp_context`` and ``failover`` are its constructor
-    options).  Either resumes bit-exactly: same buffers, bounds, sketch
+    The engine resumes bit-exactly: same buffers, bounds, sketch
     markers, thresholds, tick counter, and autoencoder weights (rebuilt
     under the dtype the model was saved with, so inference arithmetic is
     unchanged).
     """
-    # Imported here: the shard package imports this module.
-    from repro.stream.shard.engine import ShardedFleetEngine, ShardWorkerError
-    from repro.stream.shard.plan import ShardPlan
-
     reg = obs.registry()
     load_start = time.perf_counter()
     path = Path(path)
@@ -526,58 +442,33 @@ def load_checkpoint(
             RuntimeWarning,
             stacklevel=2,
         )
-    recipe, entries = manifest["pipeline"], manifest["shards"]
+    recipe = manifest["pipeline"]
     model_file = path / manifest["model"]["file"]
     arrays = _read_archive(path, manifest["model"])
     try:
         weights = [arrays[f"w{i}"] for i in range(len(arrays))]
-        autoencoder = build_autoencoder(recipe, weights)
+        autoencoder = _build_autoencoder(recipe, weights)
     except Exception as exc:
         raise CheckpointError(
             f"checkpoint model {model_file} does not rebuild the model {where} "
             f"describes ({type(exc).__name__}: {exc})"
         ) from exc
-    plan = ShardPlan.from_assignment(manifest["assignment"], len(entries))
-    states = []
-    for s, entry in enumerate(entries):
-        arrays = _read_archive(path, entry)
-        if not np.array_equal(arrays.pop("members", None), plan.members(s)):
-            raise CheckpointError(
-                f"checkpoint member {path / entry['file']} owns different stations "
-                f"than the assignment in {where} routes to it"
-            )
-        mitigator = unnest(arrays, "mitigator")
-        states.append({"detector": unnest(arrays, "detector"), "mitigator": mitigator or None})
+    state_file = path / manifest["state"]["file"]
+    arrays = _read_archive(path, manifest["state"])
+    state = {
+        "detector": unnest(arrays, "detector"),
+        "mitigator": unnest(arrays, "mitigator") or None,
+    }
     extra = {}
     if manifest.get("extra") is not None:
         extra = _read_archive(path, manifest["extra"])
-
-    if len(entries) == 1:
-        try:
-            engine = build_engine(recipe, autoencoder, states[0], plan.n_stations)
-        except Exception as exc:
-            raise CheckpointError(
-                f"checkpoint member {path / entries[0]['file']} does not restore the "
-                f"pipeline {where} describes ({type(exc).__name__}: {exc})"
-            ) from exc
-    else:
-        try:
-            engine = ShardedFleetEngine._from_parts(
-                recipe,
-                weights,
-                plan,
-                states,
-                manifest["tick"],
-                mp_context=mp_context,
-                failover=failover,
-            )
-        except ShardWorkerError as exc:
-            raise CheckpointError(
-                f"checkpoint member {path / entries[exc.shard]['file']} does not "
-                f"restore the pipeline {where} describes:\n{exc}"
-            ) from exc
-        # The workers reported their start states as the failover baseline.
-        engine._saved_as(manifest["model"], entries, {})
+    try:
+        engine = _build_engine(recipe, autoencoder, state, manifest["n_stations"])
+    except Exception as exc:
+        raise CheckpointError(
+            f"checkpoint state {state_file} does not restore the pipeline {where} "
+            f"describes ({type(exc).__name__}: {exc})"
+        ) from exc
     if reg.enabled:
         reg.histogram(
             "repro_stream_checkpoint_load_seconds", help="Wall-clock of load_checkpoint."

@@ -16,12 +16,10 @@ matrices, and — when ground-truth labels are supplied — the same
 point-level detection metrics the batch experiments report
 (:func:`repro.anomaly.metrics.aggregate_detection_metrics`).
 
-The replay loop itself (block scheduling, latency bookkeeping,
-interrupt recovery, report assembly) lives in :class:`ReplayDriver`, an
-engine-agnostic base shared between the in-process
-:class:`StreamReplayEngine` and the multi-process
-:class:`~repro.stream.shard.ShardedFleetEngine` — one loop, two
-steppers, bit-identical reports.
+One step primitive, :meth:`StreamReplayEngine.step_block`, serves the
+offline replay (:meth:`~StreamReplayEngine.run`), the tick API
+(:meth:`~StreamReplayEngine.step_tick`, a ``B = 1`` block) and live
+ingestion (:mod:`repro.serve`), so all three decide identically.
 """
 
 from __future__ import annotations
@@ -167,33 +165,108 @@ def _stacked_blocks(ticks, n_stations: int, block_size: int):
         yield np.stack(pending, axis=1)
 
 
-class ReplayDriver:
-    """Engine-agnostic replay loop: scheduling, timing, report assembly.
+class StreamReplayEngine:
+    """Drive a fleet matrix through detection + mitigation, block by block.
 
-    Subclasses supply the fleet shape and ONE step primitive —
-    :attr:`n_stations`, :attr:`missing_mode` and
-    ``_step_block(values, reg)``, which takes an ``(n_stations, B)``
-    block and returns ``(flags, scores, missing, mitigated)``, each the
-    block's shape — and inherit the whole public replay surface
-    (:meth:`run`, :meth:`step_tick`, :meth:`step_block`).  A tick is a
-    ``B = 1`` block everywhere.  The single-process
-    :class:`StreamReplayEngine` and the multi-process
-    :class:`~repro.stream.shard.ShardedFleetEngine` are the two
-    implementations; because they share this exact loop, their
-    :class:`StreamReport` outputs are comparable field-for-field.
+    Every public step — :meth:`run`, :meth:`step_tick` and
+    :meth:`step_block` — goes through one ``_step_block(values, reg)``,
+    which takes an ``(n_stations, B)`` block and returns
+    ``(flags, scores, missing, mitigated)``, each the block's shape.  A
+    tick is a ``B = 1`` block everywhere.
     """
+
+    def __init__(
+        self,
+        detector: StreamingDetector,
+        mitigator: StreamingMitigator | str | None = None,
+        *,
+        feedback: bool = False,
+    ) -> None:
+        """Detection scores the raw readings and never sees a repair, as
+        in the batch filter.  ``feedback`` accepts only ``False``: the
+        closed loop that wrote repairs back into the window buffers was
+        removed, and ``feedback=True`` raises :class:`ValueError`."""
+        if feedback:
+            raise ValueError(
+                "feedback=True is not supported: the closed mitigation loop "
+                "was removed; repairs are never written back into detection"
+            )
+        self.detector = detector
+        # True once every station's fallback is wired (wiring is
+        # monotone, so steady-state per-tick wiring calls are O(1)).
+        self._fallback_wired = False
+        if mitigator is None:
+            self.mitigator: StreamingMitigator | None = None
+            self._fallback_wired = True
+        else:
+            self.mitigator = get_mitigator(mitigator, detector.n_stations)
+            if detector.scaler is None:
+                self._fallback_wired = True
+            else:
+                self._wire_fallback()
 
     @property
     def n_stations(self) -> int:
-        raise NotImplementedError
+        """The fleet's current station count (the detector's)."""
+        return self.detector.n_stations
 
-    @property
-    def missing_mode(self) -> str:
-        """The detector's missing-data mode (``"raise"`` or ``"impute"``)."""
-        raise NotImplementedError
+    def _wire_fallback(self) -> None:
+        """Default the mitigator's no-anchor fallback to scaler minima.
 
+        A station flagged before it has any clean reading (attacked on
+        its first tick) has no anchor to hold; without a fallback the
+        attacked value would flow downstream as "mitigated".  The
+        smallest reading the scaler has ever seen per station is a safe
+        causal stand-in.  Only unset (NaN) fallback entries are filled,
+        so explicit user-provided fallbacks win.
+
+        Runs at engine construction AND at the top of every replay
+        step: a live (initially unfitted) scaler has no bounds at
+        construction, so each station's fallback is installed the step
+        after its bounds first become finite — from readings strictly
+        before the current ones, keeping the wiring causal and
+        bit-reproducible across checkpoint/restore (it depends only on
+        serialized scaler state).
+        """
+        if self._fallback_wired:
+            return
+        unset = ~np.isfinite(self.mitigator.fallback)
+        if not unset.any():
+            self._fallback_wired = True
+            return
+        data_min = self.detector.scaler.data_min_
+        fill = unset & np.isfinite(data_min)
+        if fill.any():
+            fallback = self.mitigator.fallback.copy()
+            fallback[fill] = data_min[fill]
+            self.mitigator.set_fallback(fallback)
+            reg = obs.registry()
+            if reg.enabled:
+                reg.counter(
+                    "repro_stream_fallback_wired_total",
+                    help="Stations whose no-anchor mitigation fallback was "
+                    "wired from the scaler minimum.",
+                ).inc(int(fill.sum()))
+            if bool(np.isfinite(fallback).all()):
+                self._fallback_wired = True
+
+    @hot_path
     def _step_block(self, values: np.ndarray, reg) -> tuple:
-        raise NotImplementedError
+        """One block: detect, then mitigate.
+
+        The exact loop body of :meth:`run`, shared with live ingestion
+        (:mod:`repro.serve`), so a served stream and an offline replay
+        of the same readings take one code path.
+        """
+        self._wire_fallback()
+        result = self.detector.process_block(values)
+        if self.mitigator is None:
+            return result.flags, result.scores, result.missing, values.copy()
+        with reg.span("repro_stream_mitigate"):
+            # Missing readings are repaired exactly like flagged ones:
+            # the policy's causal impute replaces the NaN.
+            mitigated = self.mitigator.mitigate_block(values, result.flags | result.missing)
+        return result.flags, result.scores, result.missing, mitigated
 
     def step_tick(
         self, values: np.ndarray
@@ -219,22 +292,6 @@ class ReplayDriver:
         of ``values`` (NaN readings stay NaN).
         """
         return self._step_block(np.asarray(values, dtype=np.float64), obs.registry())
-
-    def close(self, timeout: float = 5.0) -> None:
-        """Release any engine-held resources.
-
-        A no-op for the single-process engine; the sharded engine
-        overrides it to shut its worker processes down.  Having it on
-        the base class lets callers treat every :func:`create_engine`
-        product uniformly (``with create_engine(...) as engine:``)
-        without branching on the implementation.
-        """
-
-    def __enter__(self) -> "ReplayDriver":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def run(
         self,
@@ -423,105 +480,6 @@ class ReplayDriver:
             raise StreamInterrupted(report, error) from error
         return report
 
-class StreamReplayEngine(ReplayDriver):
-    """Drive a fleet matrix through detection + mitigation, block by block."""
-
-    def __init__(
-        self,
-        detector: StreamingDetector,
-        mitigator: StreamingMitigator | str | None = None,
-        *,
-        feedback: bool = False,
-    ) -> None:
-        """Detection scores the raw readings and never sees a repair, as
-        in the batch filter.  ``feedback`` accepts only ``False``: the
-        closed loop that wrote repairs back into the window buffers was
-        removed, and ``feedback=True`` raises :class:`ValueError`."""
-        if feedback:
-            raise ValueError(
-                "feedback=True is not supported: the closed mitigation loop "
-                "was removed; repairs are never written back into detection"
-            )
-        self.detector = detector
-        # True once every station's fallback is wired (wiring is
-        # monotone, so steady-state per-tick wiring calls are O(1)).
-        self._fallback_wired = False
-        if mitigator is None:
-            self.mitigator: StreamingMitigator | None = None
-            self._fallback_wired = True
-        else:
-            self.mitigator = get_mitigator(mitigator, detector.n_stations)
-            if detector.scaler is None:
-                self._fallback_wired = True
-            else:
-                self._wire_fallback()
-
-    @property
-    def n_stations(self) -> int:
-        return self.detector.n_stations
-
-    @property
-    def missing_mode(self) -> str:
-        return self.detector.missing
-
-    def _wire_fallback(self) -> None:
-        """Default the mitigator's no-anchor fallback to scaler minima.
-
-        A station flagged before it has any clean reading (attacked on
-        its first tick) has no anchor to hold; without a fallback the
-        attacked value would flow downstream as "mitigated".  The
-        smallest reading the scaler has ever seen per station is a safe
-        causal stand-in.  Only unset (NaN) fallback entries are filled,
-        so explicit user-provided fallbacks win.
-
-        Runs at engine construction AND at the top of every replay
-        step: a live (initially unfitted) scaler has no bounds at
-        construction, so each station's fallback is installed the step
-        after its bounds first become finite — from readings strictly
-        before the current ones, keeping the wiring causal and
-        bit-reproducible across checkpoint/restore (it depends only on
-        serialized scaler state).
-        """
-        if self._fallback_wired:
-            return
-        unset = ~np.isfinite(self.mitigator.fallback)
-        if not unset.any():
-            self._fallback_wired = True
-            return
-        data_min = self.detector.scaler.data_min_
-        fill = unset & np.isfinite(data_min)
-        if fill.any():
-            fallback = self.mitigator.fallback.copy()
-            fallback[fill] = data_min[fill]
-            self.mitigator.set_fallback(fallback)
-            reg = obs.registry()
-            if reg.enabled:
-                reg.counter(
-                    "repro_stream_fallback_wired_total",
-                    help="Stations whose no-anchor mitigation fallback was "
-                    "wired from the scaler minimum.",
-                ).inc(int(fill.sum()))
-            if bool(np.isfinite(fallback).all()):
-                self._fallback_wired = True
-
-    @hot_path
-    def _step_block(self, values: np.ndarray, reg) -> tuple:
-        """One block: detect, then mitigate.
-
-        The exact loop body of :meth:`run`, shared with live ingestion
-        (:mod:`repro.serve`), so a served stream and an offline replay
-        of the same readings take one code path.
-        """
-        self._wire_fallback()
-        result = self.detector.process_block(values)
-        if self.mitigator is None:
-            return result.flags, result.scores, result.missing, values.copy()
-        with reg.span("repro_stream_mitigate"):
-            # Missing readings are repaired exactly like flagged ones:
-            # the policy's causal impute replaces the NaN.
-            mitigated = self.mitigator.mitigate_block(values, result.flags | result.missing)
-        return result.flags, result.scores, result.missing, mitigated
-
     def add_stations(
         self,
         n_new: int,
@@ -563,48 +521,6 @@ class StreamReplayEngine(ReplayDriver):
                 help="Stations added to / dropped from the fleet at runtime.",
                 labels={"op": op},
             ).inc(n)
-
-
-def create_engine(
-    detector: StreamingDetector,
-    mitigator=None,
-    *,
-    shards: int | None = None,
-    seed=0,
-    plan=None,
-    mp_context=None,
-    failover: bool = True,
-) -> ReplayDriver:
-    """Build a replay engine, single-process or sharded, behind one API.
-
-    ``shards=None`` (or ``1``) returns a plain
-    :class:`StreamReplayEngine`; ``shards=N >= 2`` wraps the same
-    pipeline in a :class:`~repro.stream.shard.ShardedFleetEngine` with
-    ``N`` worker processes.  Either way the result is a
-    :class:`ReplayDriver` — ``run``/``step_tick``/``step_block``,
-    ``add_stations``/``drop_stations``, and ``close()`` (a no-op on the
-    single-process engine) all behave identically, so servers, examples
-    and tests need not branch on the deployment shape.  The sharded
-    path is bit-exact against the single-process one by construction.
-
-    ``seed``/``plan``/``mp_context``/``failover`` are forwarded to
-    :class:`~repro.stream.shard.ShardedFleetEngine` and ignored for a
-    single-process engine.  The existing constructors stay untouched —
-    this is sugar, not a replacement.
-    """
-    pipeline = StreamReplayEngine(detector, mitigator)
-    if shards is None or int(shards) <= 1:
-        return pipeline
-    from repro.stream.shard import ShardedFleetEngine
-
-    return ShardedFleetEngine(
-        pipeline,
-        int(shards),
-        seed=seed,
-        plan=plan,
-        mp_context=mp_context,
-        failover=failover,
-    )
 
 
 def _apply_dropout(

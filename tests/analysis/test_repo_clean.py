@@ -20,7 +20,6 @@ COMPONENT_FILES = [
     "src/repro/stream/scaler.py",
     "src/repro/stream/mitigation.py",
     "src/repro/stream/detector.py",
-    "src/repro/stream/shard/plan.py",
     "src/repro/serve/reorder.py",
 ]
 

@@ -174,10 +174,9 @@ class TestCheckpointMetrics:
         reg = fresh_registry
         assert reg.counter("repro_stream_checkpoint_saves_total").value == 1
         assert reg.counter("repro_stream_checkpoint_loads_total").value == 1
-        assert reg.counter("repro_stream_checkpoint_members_written_total").value == 1
         # The bytes gauge covers the files the manifest references.
         referenced = [f for f in path.iterdir() if f.name != "manifest.json"]
-        assert len(referenced) == 2  # the model and the one member
+        assert len(referenced) == 2  # the model and the state file
         total = sum(f.stat().st_size for f in referenced)
         assert reg.gauge("repro_stream_checkpoint_bytes").value == total
         assert reg.histogram("repro_stream_checkpoint_save_seconds").count == 1

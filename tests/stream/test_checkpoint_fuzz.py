@@ -5,11 +5,11 @@ machines, or a hand edit, so the one reader is held to one contract on
 damaged input: it restores an engine, or it raises
 :class:`CheckpointError` naming the offending file — never any other
 exception, and never a read outside the directory.  The edits are
-structure-aware: manifest keys dropped or retyped, gaps in the shard
-table, assignments of the wrong length or range, foreign and escaping
-file names, and archives with keys dropped, added or retyped (re-hashed
-in the manifest, so the reader gets past its checksums to the
-contents).  Example counts are bounded so the suite stays fast.
+structure-aware: manifest keys dropped or retyped, station counts that
+are invalid or disagree with the state arrays, foreign and escaping file
+names, and archives with keys dropped, added or retyped (re-hashed in
+the manifest, so the reader gets past its checksums to the contents).
+Example counts are bounded so the suite stays fast.
 """
 
 import json
@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 from repro.stream.checkpoint import MANIFEST_NAME, CheckpointError, load_checkpoint, save_checkpoint
 from repro.stream.engine import synthesize_fleet
-from repro.stream.shard import ShardedFleetEngine
 
 from .conftest import build_fleet_engine, replace_file, rewrite_archive
 
@@ -46,13 +45,13 @@ file_names = st.sampled_from(
         "/tmp/model-0.npz",
         "model-0.npz",
         "model.npz",
-        "shard-0000-0.npz",
-        "shard-0001-0.npz",
+        "state-0.npz",
+        "state-1.npz",
         "extra-0.npz",
         "model-7.npz",
         "",
         ".",
-        "shard-0000-0.npz/..",
+        "state-0.npz/..",
         MANIFEST_NAME,
     ]
 ) | st.text(max_size=20)
@@ -71,57 +70,43 @@ odd_arrays = st.sampled_from(
 )
 
 
-@pytest.fixture(scope="module", params=[1, 2], ids=["in-process", "sharded"])
-def pristine(request, tmp_path_factory, shard_autoencoder):
-    """A checkpoint with every kind of file: model, members, extra."""
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory, small_autoencoder):
+    """A checkpoint with every kind of file: model, state, extra."""
     train = synthesize_fleet(6, 40, seed=61)
     live = synthesize_fleet(6, 8, seed=62, dropout_rate=0.1)
-    pipeline = build_fleet_engine(shard_autoencoder, train)
-    n_shards = request.param
+    engine = build_fleet_engine(small_autoencoder, train)
     path = tmp_path_factory.mktemp("pristine") / "ckpt"
-    engine = pipeline if n_shards == 1 else ShardedFleetEngine(pipeline, n_shards)
-    with engine:
-        engine.step_block(live)
-        save_checkpoint(path, engine, extra={"serve.position": np.asarray(8)})
+    engine.step_block(live)
+    save_checkpoint(path, engine, extra={"serve.position": np.asarray(8)})
     return path
 
 
 def _entries(manifest):
-    return [manifest["model"], *manifest["shards"], manifest["extra"]]
+    return [manifest["model"], manifest["state"], manifest["extra"]]
+
+
+def _bad_station_counts(n_stations: int):
+    """Station counts the reader must reject: negative or zero, not an
+    int, or different from the count the state arrays were saved at."""
+    return (
+        st.integers(-3, 0)
+        | st.integers(1, 64).filter(lambda n: n != n_stations)
+        | st.sampled_from([float(n_stations), str(n_stations), True, None, [n_stations]])
+    )
 
 
 def _mutate_manifest(data, manifest) -> None:
     """Apply one drawn structural edit to ``manifest`` in place."""
     kind = data.draw(
-        st.sampled_from(
-            ["drop", "retype", "shard_table", "assignment", "file_name", "entry_field", "pipeline"]
-        )
+        st.sampled_from(["drop", "retype", "n_stations", "file_name", "entry_field", "pipeline"])
     )
     if kind == "drop":
         del manifest[data.draw(st.sampled_from(sorted(manifest)))]
     elif kind == "retype":
         manifest[data.draw(st.sampled_from(sorted(manifest)))] = data.draw(json_values)
-    elif kind == "shard_table":
-        shards = manifest["shards"]
-        i = data.draw(st.integers(0, len(shards) - 1))
-        op = data.draw(st.sampled_from(["remove", "duplicate", "swap"]))
-        if op == "remove":
-            del shards[i]
-        elif op == "duplicate":
-            shards.insert(i, dict(shards[i]))
-        else:
-            j = data.draw(st.integers(0, len(shards) - 1))
-            shards[i], shards[j] = shards[j], shards[i]
-    elif kind == "assignment":
-        assignment = manifest["assignment"]
-        op = data.draw(st.sampled_from(["truncate", "extend", "set"]))
-        i = data.draw(st.integers(0, len(assignment) - 1))
-        if op == "truncate":
-            del assignment[i:]
-        elif op == "extend":
-            assignment.extend(data.draw(st.lists(st.integers(-1, 3), min_size=1, max_size=3)))
-        else:
-            assignment[i] = data.draw(st.integers(-1, 3) | json_values)
+    elif kind == "n_stations":
+        manifest["n_stations"] = data.draw(_bad_station_counts(manifest["n_stations"]))
     elif kind == "file_name":
         data.draw(st.sampled_from(_entries(manifest)))["file"] = data.draw(file_names)
     elif kind == "entry_field":
@@ -165,11 +150,9 @@ def _mutate_archive(data, ckpt_dir: Path, name: str) -> None:
 
 def _assert_restores_or_names(ckpt_dir: Path, culprit: Path) -> None:
     try:
-        engine, _extra = load_checkpoint(ckpt_dir)
+        load_checkpoint(ckpt_dir)
     except CheckpointError as exc:
         assert str(culprit) in str(exc), str(exc)
-    else:
-        engine.close()
 
 
 class TestCheckpointReaderFuzz:
@@ -194,6 +177,19 @@ class TestCheckpointReaderFuzz:
             name = data.draw(st.sampled_from([e["file"] for e in _entries(manifest)]))
             _mutate_archive(data, ckpt_dir, name)
             _assert_restores_or_names(ckpt_dir, ckpt_dir / name)
+
+    @FUZZ
+    @given(st.data())
+    def test_bad_station_count_names_the_manifest(self, pristine, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            ckpt_dir = Path(tmp) / "ckpt"
+            shutil.copytree(pristine, ckpt_dir)
+            manifest = json.loads((ckpt_dir / MANIFEST_NAME).read_text())
+            manifest["n_stations"] = data.draw(_bad_station_counts(manifest["n_stations"]))
+            (ckpt_dir / MANIFEST_NAME).write_text(json.dumps(manifest))
+            with pytest.raises(CheckpointError) as excinfo:
+                load_checkpoint(ckpt_dir)
+            assert str(ckpt_dir / MANIFEST_NAME) in str(excinfo.value)
 
     @FUZZ
     @given(st.binary(max_size=200))

@@ -9,7 +9,6 @@ from repro.stream.detector import StreamingDetector
 from repro.stream.engine import (
     StreamReplayEngine,
     attack_fleet,
-    create_engine,
     synthesize_fleet,
 )
 from repro.stream.mitigation import HoldLastGoodMitigator
@@ -376,44 +375,28 @@ class TestInterruptedRun:
         np.testing.assert_array_equal(report.flags, reference.flags)
 
 
-class TestCreateEngine:
-    """The deployment-shape factory: one call, either engine, same API."""
-
-    def test_default_is_single_process_engine(self, small_autoencoder):
+class TestConstruction:
+    def test_default_has_no_mitigator(self, small_autoencoder):
         fleet = synthesize_fleet(3, 40, seed=30)
-        engine = create_engine(_make_detector(small_autoencoder, fleet))
-        assert type(engine) is StreamReplayEngine
+        engine = StreamReplayEngine(_make_detector(small_autoencoder, fleet))
         assert engine.mitigator is None
-        assert create_engine(
-            _make_detector(small_autoencoder, fleet), shards=1
-        ).__class__ is StreamReplayEngine
+        assert engine.n_stations == 3
 
-    def test_mitigator_forwarded(self, small_autoencoder):
+    def test_mitigator_name_resolves_to_policy(self, small_autoencoder):
         fleet = synthesize_fleet(3, 40, seed=31)
-        engine = create_engine(_make_detector(small_autoencoder, fleet), "hold_last_good")
+        engine = StreamReplayEngine(_make_detector(small_autoencoder, fleet), "hold_last_good")
         assert isinstance(engine.mitigator, HoldLastGoodMitigator)
 
-    def test_single_process_close_is_a_reusable_noop(self, small_autoencoder):
-        fleet = synthesize_fleet(3, 24, seed=32)
-        with create_engine(_make_detector(small_autoencoder, fleet)) as engine:
-            engine.step_block(fleet[:, :8])
-        # close() did nothing destructive: the engine keeps stepping.
-        engine.close()
-        flags, *_ = engine.step_block(fleet[:, 8:16])
-        assert flags.shape == (3, 8)
 
-    def test_sharded_factory_matches_single_process(self, small_autoencoder):
-        fleet = synthesize_fleet(6, 24, seed=33)
-        single = create_engine(_make_detector(small_autoencoder, fleet))
-        reference = [single.step_block(fleet[:, t : t + 8]) for t in range(0, 24, 8)]
-        with create_engine(
-            _make_detector(small_autoencoder, fleet), shards=2, seed=5
-        ) as sharded:
-            from repro.stream.shard import ShardedFleetEngine
-
-            assert isinstance(sharded, ShardedFleetEngine)
-            assert sharded.n_shards == 2
-            for t, expected in zip(range(0, 24, 8), reference, strict=True):
-                got = sharded.step_block(fleet[:, t : t + 8])
-                for a, b in zip(expected, got, strict=True):
-                    np.testing.assert_array_equal(a, b)
+class TestStepParity:
+    def test_step_tick_matches_step_block_one(self, small_autoencoder):
+        fleet = synthesize_fleet(3, 24, seed=34)
+        by_tick = StreamReplayEngine(_make_detector(small_autoencoder, fleet), "hold_last_good")
+        by_block = StreamReplayEngine(_make_detector(small_autoencoder, fleet), "hold_last_good")
+        start = by_tick.detector.tick
+        for t in range(fleet.shape[1]):
+            tick_out = by_tick.step_tick(fleet[:, t])
+            block_out = by_block.step_block(fleet[:, t : t + 1])
+            for a, b in zip(tick_out, block_out, strict=True):
+                assert np.array_equal(a, b[:, 0], equal_nan=True)
+        assert by_tick.detector.tick == by_block.detector.tick == start + fleet.shape[1]

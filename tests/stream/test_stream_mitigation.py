@@ -182,15 +182,15 @@ class TestExtensionContract:
         repaired = _BlockOnly(2).mitigate(np.array([1.0, 2.0]), np.array([True, False]))
         np.testing.assert_array_equal(repaired, [-1.0, 2.0])
 
-    def test_block_only_policy_runs_through_step_tick_and_run(self, shard_autoencoder):
+    def test_block_only_policy_runs_through_step_tick_and_run(self, small_autoencoder):
         fleet = synthesize_fleet(3, 30, seed=12, dropout_rate=0.05)
-        detector = build_fleet_engine(shard_autoencoder, fleet, mitigator=None).detector
+        detector = build_fleet_engine(small_autoencoder, fleet, mitigator=None).detector
         report = StreamReplayEngine(detector, _BlockOnly(3)).run(fleet, block_size=1)
         repair = report.flags | report.missing
         assert repair.any()
         np.testing.assert_array_equal(report.mitigated, np.where(repair, -1.0, fleet))
 
-        detector = build_fleet_engine(shard_autoencoder, fleet, mitigator=None).detector
+        detector = build_fleet_engine(small_autoencoder, fleet, mitigator=None).detector
         engine = StreamReplayEngine(detector, _BlockOnly(3))
         for t in range(fleet.shape[1]):
             _flags, _scores, _missing, mitigated = engine.step_tick(fleet[:, t])
