@@ -67,7 +67,6 @@ def build_engine(fleet: np.ndarray) -> StreamReplayEngine:
         autoencoder,
         fleet.shape[0],
         scaler=scaler,
-        min_calibration_scores=5,
         missing="impute",
     )
     detector.calibrate(fleet)

@@ -23,9 +23,10 @@ system and every substrate it depends on:
 - :mod:`repro.experiments` — regenerates every table and figure of the
   paper's evaluation (Tables I–III, Figs. 2–3, headline metrics).
 - :mod:`repro.stream` — the online serving path: per-station ring
-  buffers, incremental MinMax scaling, P² streaming percentiles, a
-  micro-batched :class:`~repro.stream.detector.StreamingDetector`
-  (one LSTM forward per tick for the whole fleet), causal mitigation,
+  buffers, incremental MinMax scaling, calibrated per-station
+  thresholds, a micro-batched
+  :class:`~repro.stream.detector.StreamingDetector` (one LSTM forward
+  per tick for the whole fleet), causal mitigation,
   and a replay engine with throughput/latency/detection reporting.
 - :mod:`repro.serve` — the live ingestion layer: a framed, CRC-checked
   wire protocol, an asyncio :class:`~repro.serve.server.IngestionServer`

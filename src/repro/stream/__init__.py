@@ -6,12 +6,11 @@ useless for a live federated deployment ingesting readings from
 thousands of charging stations.  This package is the online serving
 path: per-station ring buffers hold exactly one autoencoder window of
 history (:mod:`~repro.stream.buffers`), scaling is incremental and
-per-station (:mod:`~repro.stream.scaler`), thresholds can adapt via the
-O(1)-memory P² percentile sketch (:mod:`~repro.stream.quantile`),
-inference is *micro-batched* — one LSTM forward pass per tick for the
-whole fleet, not one per station (:mod:`~repro.stream.detector`) — and
-mitigation is causal, built only from the past
-(:mod:`~repro.stream.mitigation`).  :mod:`~repro.stream.engine` replays
+per-station (:mod:`~repro.stream.scaler`), thresholds are calibrated
+per station from normal history, inference is *micro-batched* — one
+LSTM forward pass per tick for the whole fleet, not one per station
+(:mod:`~repro.stream.detector`) — and mitigation is causal, built only
+from the past (:mod:`~repro.stream.mitigation`).  :mod:`~repro.stream.engine` replays
 any batch attack scenario through the pipeline and reports throughput,
 latency, and the paper's detection metrics.
 
@@ -22,16 +21,14 @@ pass, and ``engine.run(fleet, block_size=B)`` drives detection and
 mitigation block-wise.  Mitigation repairs the output stream only;
 detection always scores the raw readings.  Every per-tick entry point
 (``process_tick``, ``step_tick``, ``mitigate``) is the ``B = 1`` view of
-its block counterpart; larger blocks move adaptive-threshold updates to
-block granularity.
+its block counterpart.
 
 Operations: the pipeline checkpoints to a manifest directory with
 bit-exact resume (:mod:`~repro.stream.checkpoint`), fleets grow and
 shrink at runtime (``add_stations``/``drop_stations`` on the detector,
 engine and every state bank), and NaN readings can be accepted as
 missing data (``StreamingDetector(..., missing="impute")``) — imputed
-causally, excluded from scaler/threshold adaptation, and counted
-per-station in the report.  One in-process
+causally, excluded from scaler bounds, and counted per-station in the report.  One in-process
 :class:`~repro.stream.engine.StreamReplayEngine` runs the whole fleet.
 
 Quickstart::
@@ -69,11 +66,6 @@ from repro.stream.mitigation import (
     SeasonalHoldMitigator,
     StreamingMitigator,
 )
-from repro.stream.quantile import (
-    P2QuantileBank,
-    P2QuantileEstimator,
-    StreamingPercentileThreshold,
-)
 from repro.stream.scaler import StreamingMinMaxScaler
 
 __all__ = [
@@ -93,8 +85,5 @@ __all__ = [
     "HoldLastGoodMitigator",
     "SeasonalHoldMitigator",
     "StreamingMitigator",
-    "P2QuantileBank",
-    "P2QuantileEstimator",
-    "StreamingPercentileThreshold",
     "StreamingMinMaxScaler",
 ]

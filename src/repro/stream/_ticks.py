@@ -1,9 +1,8 @@
 """Shared per-tick/per-block input validation for the streaming state banks.
 
-Every streaming component (:class:`~repro.stream.buffers.RingBufferBank`,
-:class:`~repro.stream.scaler.StreamingMinMaxScaler`,
-:class:`~repro.stream.quantile.P2QuantileBank`) accepts one reading per
-addressed station per tick — or a ``(k, B)`` block of ``B`` consecutive
+Every streaming state bank (:class:`~repro.stream.buffers.RingBufferBank`,
+:class:`~repro.stream.scaler.StreamingMinMaxScaler`) accepts one reading
+per addressed station per tick — or a ``(k, B)`` block of ``B`` consecutive
 readings — and this module normalises and validates those inputs in one
 place.  Duplicate station indices are rejected outright — numpy
 fancy-index assignment would silently keep only the last reading per

@@ -1,9 +1,9 @@
 """Checkpoint/restore for the streaming pipeline: one manifest directory.
 
 A long-running stream deployment must survive process restarts: losing
-the detector's ring buffers, scaler bounds, P² sketch, threshold state,
-or the mitigator's anchors means minutes of warmup and different
-decisions after every restart.  :func:`save_checkpoint` writes the
+the detector's ring buffers, scaler bounds, thresholds, or the
+mitigator's anchors means minutes of warmup and different decisions
+after every restart.  :func:`save_checkpoint` writes the
 *entire* pipeline of a :class:`~repro.stream.engine.StreamReplayEngine`
 to one directory::
 
@@ -75,11 +75,12 @@ from repro.stream.mitigation import _REGISTRY, StreamingMitigator
 from repro.stream.scaler import StreamingMinMaxScaler
 
 _FORMAT = "repro.stream.checkpoint"
-#: 4: one ``state`` file and an ``n_stations`` record replace version
-#: 3's table of member files and its station assignment.  Version 2 may
-#: have been saved with the removed closed mitigation loop.  Neither is
-#: resumed: both are rejected.
-_VERSION = 4
+#: 5: the detector recipe drops the removed adaptive-threshold mode and
+#: its options.  Version 4 may carry that mode's state; version 3 has a
+#: table of member files and a station assignment; version 2 may have
+#: been saved with the removed closed mitigation loop.  None is resumed:
+#: all are rejected.
+_VERSION = 5
 MANIFEST_NAME = "manifest.json"
 #: Every data file the writer produces: ``<role>-<generation>.npz``.
 _DATA_FILE = re.compile(r"(?:model|state|extra)-(\d+)\.npz")
@@ -155,9 +156,7 @@ def _pipeline_meta(
     return {
         "detector": {
             "percentile": detector.percentile,
-            "min_calibration_scores": detector.min_calibration_scores,
             "missing": detector.missing,
-            "adaptive": detector.adaptive is not None,
             "scaler": (
                 None
                 if detector.scaler is None
@@ -203,9 +202,7 @@ def _build_engine(
         autoencoder,
         n_stations,
         scaler=scaler,
-        threshold="p2" if detector_meta["adaptive"] else None,
         percentile=detector_meta["percentile"],
-        min_calibration_scores=detector_meta["min_calibration_scores"],
         missing=detector_meta["missing"],
     )
     detector.load_state_dict(state["detector"])
@@ -303,7 +300,9 @@ def _committed(path: Path) -> dict | None:
 def _write_archive(path: Path, name: str, arrays: dict, written: list[Path]) -> dict:
     """Write one archive crash-consistently; return its manifest entry."""
     buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
+    # The loader reads with allow_pickle=False, so an object array must
+    # fail here, before the commit point, not after it.
+    np.savez(buffer, allow_pickle=False, **arrays)
     data = buffer.getvalue()
     written.append(path / name)
     write_atomic(path / name, lambda fh: fh.write(data))
@@ -319,7 +318,9 @@ def save_checkpoint(
 
     ``extra`` stashes arbitrary named arrays (e.g. the replay position
     in an offline fleet matrix) alongside the pipeline; it is rewritten
-    every save.
+    every save.  An object-dtype array cannot be read back without
+    pickle, so it raises ``ValueError`` and the previous checkpoint
+    stays committed.
     """
     reg = obs.registry()
     save_start = time.perf_counter()
@@ -420,10 +421,9 @@ def _read_archive(path: Path, entry: dict) -> dict[str, np.ndarray]:
 def load_checkpoint(path: str | Path) -> tuple[StreamReplayEngine, dict[str, np.ndarray]]:
     """Rebuild the engine saved by :func:`save_checkpoint`; return ``(engine, extra)``.
 
-    The engine resumes bit-exactly: same buffers, bounds, sketch
-    markers, thresholds, tick counter, and autoencoder weights (rebuilt
-    under the dtype the model was saved with, so inference arithmetic is
-    unchanged).
+    The engine resumes bit-exactly: same buffers, bounds, thresholds,
+    tick counter, and autoencoder weights (rebuilt under the dtype the
+    model was saved with, so inference arithmetic is unchanged).
     """
     reg = obs.registry()
     load_start = time.perf_counter()

@@ -20,19 +20,9 @@ Replaying a series one tick at a time reproduces the batch detector's
 window-mode flags exactly: same windows, same forward pass, same
 threshold (see ``tests/stream/test_stream_parity.py``).
 
-Thresholds come in two flavours:
-
-* **fixed** — per-station (or global) values calibrated offline, e.g.
-  the paper's 98th-percentile rule via :meth:`calibrate`;
-* **adaptive** — per-station streaming percentiles maintained by the P²
-  sketch (:class:`~repro.stream.quantile.P2QuantileBank`), updated only
-  with scores that were *not* flagged, so an ongoing attack cannot
-  stretch its own detection boundary.  In block mode the adaptive
-  boundary is frozen for the duration of one block (flags inside a block
-  are decided against the thresholds that stood at its start) and all of
-  the block's clean scores are swept into the sketch afterwards —
-  adaptation happens at block granularity, which is tick granularity
-  at ``B = 1``.
+Thresholds are fixed per-station (or global) values: passed to the
+constructor, or calibrated offline from normal history by
+:meth:`calibrate` — the paper's per-client 98th-percentile rule.
 
 Operations: the detector serializes its full pipeline state via
 ``state_dict()``/``load_state_dict()`` (bundle with the autoencoder via
@@ -56,7 +46,6 @@ from repro.data.windowing import sliding_windows
 from repro.stream._state import StateDict, check_keys, nest, scalar, take, unnest
 from repro.stream._ticks import as_column, check_block, check_drop
 from repro.stream.buffers import RingBufferBank
-from repro.stream.quantile import P2QuantileBank
 from repro.stream.scaler import StreamingMinMaxScaler
 
 _MISSING_MODES = ("raise", "impute")
@@ -91,9 +80,9 @@ class BlockResult:
     """Outcome of one ``B``-tick block across the fleet.
 
     ``scores``/``flags``/``scored`` are ``(n_stations, B)`` matrices
-    whose column ``t`` is exactly the :class:`TickResult` that tick
-    ``first_tick + t`` would have produced (for fixed thresholds;
-    adaptive thresholds update at block granularity).  Stations absent
+    whose column ``t`` is the :class:`TickResult` that tick
+    ``first_tick + t`` would have produced (to the last ulp of a float32
+    score, which larger batches may round differently).  Stations absent
     from the block, or still warming up at a given column, carry NaN
     scores and False flags there.  ``missing`` marks entries that were
     NaN readings handled under ``missing="impute"``.
@@ -130,23 +119,20 @@ class StreamingDetector:
         applied to raw readings before buffering.  Omit when the stream
         is already in scaled space.
     threshold:
-        Scalar or ``(n_stations,)`` array of fixed decision boundaries,
-        or the string ``"p2"`` for adaptive per-station streaming
-        percentiles.  Fixed thresholds can also be installed later via
-        :meth:`calibrate`.
+        Scalar or ``(n_stations,)`` array of decision boundaries.  Omit
+        it to install per-station thresholds later via :meth:`calibrate`;
+        until then no station flags.
     percentile:
-        Percentile for adaptive mode and :meth:`calibrate` (paper: 98).
-    min_calibration_scores:
-        Adaptive mode only: per-station number of scores observed before
-        flags may fire (an uncalibrated sketch is noise, not a boundary).
+        Percentile of normal scores :meth:`calibrate` sets each
+        threshold to (paper: 98).
     missing:
         ``"raise"`` (default) rejects a NaN reading with a clear error;
         ``"impute"`` treats it as a missing observation — a causal
         stand-in (the station's last buffered value, or the scale floor
         for a cold buffer) fills the window so scoring continues, the
-        missing reading never widens scaler bounds or updates adaptive
-        thresholds, the station is not flagged at that tick, and
-        :attr:`missing_counts` tracks per-station totals.  The replay
+        missing reading never widens scaler bounds, the station is not
+        flagged at that tick, and :attr:`missing_counts` tracks
+        per-station totals.  The replay
         engine additionally repairs missing entries with the mitigation
         policy (see :class:`~repro.stream.engine.StreamReplayEngine`).
     """
@@ -154,26 +140,21 @@ class StreamingDetector:
     #: Constructor configuration (and the injected model), supplied
     #: again on rebuild — deliberately absent from state_dict (RPR001).
     #: The autoencoder's weights checkpoint through its own state_dict.
-    _EPHEMERAL = ("autoencoder", "percentile", "min_calibration_scores", "missing")
+    _EPHEMERAL = ("autoencoder", "percentile", "missing")
 
     def __init__(
         self,
         autoencoder: LSTMAutoencoder,
         n_stations: int,
         scaler: StreamingMinMaxScaler | None = None,
-        threshold: float | np.ndarray | str | None = None,
+        threshold: float | np.ndarray | None = None,
         percentile: float = 98.0,
-        min_calibration_scores: int = 50,
         missing: str = "raise",
     ) -> None:
         if n_stations < 1:
             raise ValueError(f"n_stations must be >= 1, got {n_stations}")
         if not 0.0 < percentile < 100.0:
             raise ValueError(f"percentile must be in (0, 100), got {percentile}")
-        if min_calibration_scores < 5:
-            raise ValueError(
-                f"min_calibration_scores must be >= 5, got {min_calibration_scores}"
-            )
         if scaler is not None and scaler.n_stations != n_stations:
             raise ValueError(
                 f"scaler tracks {scaler.n_stations} stations, detector {n_stations}"
@@ -186,32 +167,19 @@ class StreamingDetector:
         self.n_stations = int(n_stations)
         self.scaler = scaler
         self.percentile = float(percentile)
-        self.min_calibration_scores = int(min_calibration_scores)
         self.missing = missing
         self.missing_counts = np.zeros(self.n_stations, dtype=np.int64)
         self.buffers = RingBufferBank(n_stations, self.sequence_length)
         self.tick = 0
 
-        self.adaptive: P2QuantileBank | None = None
-        self._thresholds = np.full(self.n_stations, np.nan, dtype=np.float64)
-        if isinstance(threshold, str):
-            if threshold != "p2":
-                raise ValueError(f"threshold string must be 'p2', got {threshold!r}")
-            self.adaptive = P2QuantileBank(self.n_stations, self.percentile)
-        elif threshold is not None:
-            self._thresholds[:] = np.asarray(threshold, dtype=np.float64)
+        #: Per-station decision boundaries (NaN = cannot flag).
+        self.thresholds = np.full(self.n_stations, np.nan, dtype=np.float64)
+        if threshold is not None:
+            self.thresholds[:] = np.asarray(threshold, dtype=np.float64)
 
     @property
     def sequence_length(self) -> int:
         return self.autoencoder.config.sequence_length
-
-    @property
-    def thresholds(self) -> np.ndarray:
-        """Current per-station decision boundaries (NaN = cannot flag)."""
-        if self.adaptive is not None:
-            calibrated = self.adaptive.counts >= self.min_calibration_scores
-            return np.where(calibrated, self.adaptive.estimate, np.nan)
-        return self._thresholds
 
     def calibrate(self, normal_fleet: np.ndarray, scale: bool = True) -> np.ndarray:
         """Fit fixed per-station thresholds from normal history.
@@ -238,9 +206,8 @@ class StreamingDetector:
         )
         errors = self.autoencoder.window_errors(windows[:, :, None])
         per_station = errors.reshape(self.n_stations, n_windows)
-        self._thresholds = np.percentile(per_station, self.percentile, axis=1)
-        self.adaptive = None
-        return self._thresholds
+        self.thresholds = np.percentile(per_station, self.percentile, axis=1)
+        return self.thresholds
 
     def process_tick(
         self, values: np.ndarray, stations: np.ndarray | None = None
@@ -275,10 +242,7 @@ class StreamingDetector:
         window the block completes is scored in ONE autoencoder forward
         pass.
 
-        With adaptive (``"p2"``) thresholds, the boundary is frozen
-        across the block and clean scores are folded in afterwards
-        (block-granular adaptation); fixed thresholds have no such
-        coupling and match one-tick-at-a-time replay to floating-point
+        The result matches one-tick-at-a-time replay to floating-point
         round-off for any ``B`` — larger batches can take different BLAS
         kernel paths, so the last ulp of a float32 score is not
         guaranteed across batch sizes.
@@ -364,17 +328,6 @@ class StreamingDetector:
                     # an imputed stand-in, not a sensor value).
                     flagged &= present.take(rows * block + cols)
                 flags.put(decided, flagged)
-                if self.adaptive is not None:
-                    # Guarded, block-granular adaptation: sweep the block's
-                    # clean scores (flagged and imputed ones pre-masked out)
-                    # through the sketch in column order.
-                    clean = due & ~flags[station_index]
-                    if any_missing:
-                        clean &= present
-                    if clean.any():
-                        self.adaptive.update_block_checked(
-                            scores[station_index], station_index, mask=clean
-                        )
         scored.put(decided, True)
         if reg.enabled:
             self._record_obs(
@@ -494,7 +447,7 @@ class StreamingDetector:
     # operations: serialization and elastic fleets
     # ------------------------------------------------------------------
     def state_dict(self) -> StateDict:
-        """Full pipeline state (buffers, scaler, thresholds, sketch, tick).
+        """Full pipeline state (buffers, scaler, thresholds, tick).
 
         Everything needed for bit-exact resume EXCEPT the autoencoder
         weights, which serialize via :mod:`repro.nn.serialization` — or
@@ -503,22 +456,20 @@ class StreamingDetector:
         """
         state: StateDict = {
             "tick": scalar(self.tick),
-            "thresholds": self._thresholds.copy(),
+            "thresholds": self.thresholds.copy(),
             "missing_counts": self.missing_counts.copy(),
         }
         state |= nest("buffers", self.buffers.state_dict())
         if self.scaler is not None:
             state |= nest("scaler", self.scaler.state_dict())
-        if self.adaptive is not None:
-            state |= nest("adaptive", self.adaptive.state_dict())
         return state
 
     def load_state_dict(self, state: StateDict) -> None:
         """Restore state captured by :meth:`state_dict` (strictly validated).
 
         The detector must be constructed with the same structure the
-        state was saved from (fleet size, scaler presence, adaptive
-        mode); mismatches raise instead of half-loading.
+        state was saved from (fleet size, scaler presence); mismatches
+        raise instead of half-loading.
         """
         owner = type(self).__name__
         # Expected keys from each component's STATE_KEYS — calling
@@ -528,8 +479,6 @@ class StreamingDetector:
         expected |= {f"buffers.{key}" for key in self.buffers.STATE_KEYS}
         if self.scaler is not None:
             expected |= {f"scaler.{key}" for key in self.scaler.STATE_KEYS}
-        if self.adaptive is not None:
-            expected |= {f"adaptive.{key}" for key in self.adaptive.STATE_KEYS}
         check_keys(state, expected, owner)
         tick = int(take(state, "tick", owner, (), np.int64))
         thresholds = take(state, "thresholds", owner, (self.n_stations,), np.float64)
@@ -539,10 +488,8 @@ class StreamingDetector:
         self.buffers.load_state_dict(unnest(state, "buffers"))
         if self.scaler is not None:
             self.scaler.load_state_dict(unnest(state, "scaler"))
-        if self.adaptive is not None:
-            self.adaptive.load_state_dict(unnest(state, "adaptive"))
         self.tick = tick
-        self._thresholds = thresholds
+        self.thresholds = thresholds
         self.missing_counts = missing_counts
 
     def add_stations(
@@ -556,20 +503,14 @@ class StreamingDetector:
 
         New stations start with empty buffers (they warm up over the
         next ``sequence_length`` ticks) and leave every existing
-        station's state untouched.  In fixed-threshold mode pass
-        ``thresholds`` (scalar or ``(n_new,)``) or the newcomers never
-        flag (NaN boundary) until :meth:`calibrate` runs again; in
-        adaptive mode they calibrate themselves from the stream.  When
-        the detector owns a scaler, ``data_min``/``data_max`` seed the
-        newcomers' bounds (required if the scaler is frozen).
+        station's state untouched.  Pass ``thresholds`` (scalar or
+        ``(n_new,)``) or the newcomers never flag (NaN boundary) until
+        :meth:`calibrate` runs again.  When the detector owns a scaler,
+        ``data_min``/``data_max`` seed the newcomers' bounds (required
+        if the scaler is frozen).
         """
         if n_new < 1:
             raise ValueError(f"n_new must be >= 1, got {n_new}")
-        if thresholds is not None and self.adaptive is not None:
-            raise ValueError(
-                "adaptive (p2) mode has no fixed thresholds to assign; "
-                "new stations calibrate from the stream"
-            )
         new_thresholds = np.full(n_new, np.nan, dtype=np.float64)
         if thresholds is not None:
             new_thresholds[:] = np.asarray(thresholds, dtype=np.float64)
@@ -578,9 +519,7 @@ class StreamingDetector:
         elif data_min is not None or data_max is not None:
             raise ValueError("data_min/data_max require the detector to own a scaler")
         self.buffers.add_stations(n_new)
-        if self.adaptive is not None:
-            self.adaptive.add_stations(n_new)
-        self._thresholds = np.concatenate([self._thresholds, new_thresholds])
+        self.thresholds = np.concatenate([self.thresholds, new_thresholds])
         self.missing_counts = np.concatenate(
             [self.missing_counts, np.zeros(n_new, dtype=np.int64)]
         )
@@ -589,23 +528,20 @@ class StreamingDetector:
     def drop_stations(self, stations: np.ndarray) -> None:
         """Remove stations from the fleet at runtime.
 
-        Survivors keep their buffers, bounds, thresholds and sketches
-        bit-for-bit; indices renumber compactly (station ``j`` becomes
-        ``j - (dropped below j)``).
+        Survivors keep their buffers, bounds and thresholds bit-for-bit;
+        indices renumber compactly (station ``j`` becomes ``j - (dropped
+        below j)``).
         """
         stations = check_drop(stations, self.n_stations)
         self.buffers.drop_stations(stations)
         if self.scaler is not None:
             self.scaler.drop_stations(stations)
-        if self.adaptive is not None:
-            self.adaptive.drop_stations(stations)
-        self._thresholds = np.delete(self._thresholds, stations)
+        self.thresholds = np.delete(self.thresholds, stations)
         self.missing_counts = np.delete(self.missing_counts, stations)
         self.n_stations -= len(stations)
 
     def __repr__(self) -> str:
-        mode = "adaptive-p2" if self.adaptive is not None else "fixed"
         return (
             f"StreamingDetector(n_stations={self.n_stations}, "
-            f"L={self.sequence_length}, threshold={mode}, tick={self.tick})"
+            f"L={self.sequence_length}, tick={self.tick})"
         )

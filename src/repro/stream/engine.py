@@ -318,10 +318,9 @@ class StreamReplayEngine:
         the throughput lever for large fleets (one forward pass and one
         mitigation call per block instead of per tick); the default
         ``block_size=1`` decides every tick before the next one arrives.
-        Larger blocks keep tick semantics for scaling and fixed-threshold
-        scoring (to floating-point round-off — float32 inference can
-        round the last ulp differently across batch sizes); adaptive
-        thresholds update per block.  A trailing partial block is
+        Larger blocks keep tick semantics for scaling and scoring (to
+        floating-point round-off — float32 inference can round the last
+        ulp differently across batch sizes).  A trailing partial block is
         processed with whatever ticks remain.  Per-tick ``latencies``
         within one block report the block's wall-clock divided evenly
         across its ticks.

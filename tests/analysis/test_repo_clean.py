@@ -16,7 +16,6 @@ REPO = Path(__file__).resolve().parents[2]
 #: Every stream/serve module that ships a state_dict-bearing component.
 COMPONENT_FILES = [
     "src/repro/stream/buffers.py",
-    "src/repro/stream/quantile.py",
     "src/repro/stream/scaler.py",
     "src/repro/stream/mitigation.py",
     "src/repro/stream/detector.py",

@@ -54,12 +54,6 @@ def build_engine(
     that produce bit-identical decisions — the soak tests' foundation.
     """
     scaler = StreamingMinMaxScaler.from_bounds(np.nanmin(fleet, axis=1), np.nanmax(fleet, axis=1))
-    detector = StreamingDetector(
-        autoencoder,
-        fleet.shape[0],
-        scaler=scaler,
-        min_calibration_scores=5,
-        missing="impute",
-    )
+    detector = StreamingDetector(autoencoder, fleet.shape[0], scaler=scaler, missing="impute")
     detector.calibrate(fleet)
     return StreamReplayEngine(detector, mitigator)

@@ -38,7 +38,6 @@ def build_fleet_engine(
     autoencoder,
     fleet: np.ndarray,
     mitigator: str | None = "hold_last_good",
-    adaptive: bool = False,
 ) -> StreamReplayEngine:
     """A calibrated impute-capable pipeline over ``fleet``'s bounds.
 
@@ -48,14 +47,7 @@ def build_fleet_engine(
     scaler = StreamingMinMaxScaler.from_bounds(
         np.nanmin(fleet, axis=1), np.nanmax(fleet, axis=1)
     )
-    detector = StreamingDetector(
-        autoencoder,
-        fleet.shape[0],
-        scaler=scaler,
-        threshold="p2" if adaptive else None,
-        min_calibration_scores=5,
-        missing="impute",
-    )
+    detector = StreamingDetector(autoencoder, fleet.shape[0], scaler=scaler, missing="impute")
     detector.calibrate(fleet)
     return StreamReplayEngine(detector, mitigator=mitigator)
 

@@ -3,7 +3,7 @@
 The operational contract: save the pipeline at ANY tick/block boundary,
 reload it (fresh objects rebuilt purely from the directory's bytes),
 and the remaining stream must produce flags, scores and mitigated
-values **bit-identical** to an uninterrupted run — with adaptive
+values **bit-identical** to an uninterrupted run — with calibrated
 thresholds and every mitigation policy.  A save that fails or is killed
 at any point must leave the previous checkpoint loadable.
 """
@@ -33,7 +33,6 @@ from repro.stream.mitigation import (
     SeasonalHoldMitigator,
     StreamingMitigator,
 )
-from repro.stream.quantile import P2QuantileBank
 from repro.stream.scaler import StreamingMinMaxScaler
 
 from .conftest import build_fleet_engine, fail_nth_write, rewrite_archive
@@ -59,12 +58,7 @@ def reference(small_autoencoder, train_fleet, live_fleet):
 def _pipeline(autoencoder, fleet, mitigator, threshold, missing="raise"):
     scaler = StreamingMinMaxScaler.from_bounds(np.nanmin(fleet, axis=1), np.nanmax(fleet, axis=1))
     detector = StreamingDetector(
-        autoencoder,
-        fleet.shape[0],
-        scaler=scaler,
-        threshold=threshold,
-        min_calibration_scores=5,
-        missing=missing,
+        autoencoder, fleet.shape[0], scaler=scaler, threshold=threshold, missing=missing
     )
     if threshold is None:
         detector.calibrate(fleet)
@@ -122,16 +116,16 @@ class TestResumeParity:
         self, small_autoencoder, tmp_path, policy, block_size
     ):
         """Property test: for random fleets, EVERY block boundary is a
-        valid resume point — mitigated, adaptive (p2) thresholds."""
+        valid resume point — mitigated, calibrated thresholds."""
         rng = np.random.default_rng(hash((policy, block_size)) % 2**32)
         seed = int(rng.integers(2**31))
         fleet = synthesize_fleet(3, 42, seed=seed)
-        reference = _pipeline(small_autoencoder, fleet, policy, "p2").run(
+        reference = _pipeline(small_autoencoder, fleet, policy, None).run(
             fleet, block_size=block_size
         )
         n_ticks = fleet.shape[1]
         for cut in range(block_size, n_ticks, block_size):
-            engine = _pipeline(small_autoencoder, fleet, policy, "p2")
+            engine = _pipeline(small_autoencoder, fleet, policy, None)
             first = engine.run(fleet[:, :cut], block_size=block_size)
             path = save_checkpoint(tmp_path / f"{policy}-{block_size}-{cut}", engine)
             restored, _extra = load_checkpoint(path)
@@ -208,7 +202,7 @@ class TestManifest:
         ckpt_dir = save_checkpoint(tmp_path / "ckpt", engine)
         manifest = _manifest(ckpt_dir)
         assert manifest["format"] == "repro.stream.checkpoint"
-        assert manifest["version"] == 4
+        assert manifest["version"] == 5
         assert manifest["tick"] == 4
         assert manifest["n_stations"] == N_STATIONS
         assert manifest["model"]["file"] == "model-0.npz"
@@ -376,19 +370,6 @@ class TestComponentStateDicts:
         np.testing.assert_array_equal(scaler.transform(probe), clone.transform(probe))
         assert clone.frozen == scaler.frozen
 
-    def test_p2_roundtrip_mid_warmup_and_after(self):
-        for n_obs in (3, 30):
-            bank = P2QuantileBank(2, q=90.0)
-            rng = np.random.default_rng(0)
-            for _ in range(n_obs):
-                bank.update(rng.random(2))
-            clone = P2QuantileBank(2, q=90.0)
-            clone.load_state_dict(bank.state_dict())
-            follow = rng.random((2, 10))
-            bank.update_block(follow)
-            clone.update_block(follow)
-            np.testing.assert_array_equal(bank.estimate, clone.estimate)
-
     def test_shape_mismatch_rejected(self):
         bank = RingBufferBank(3, 4)
         state = bank.state_dict()
@@ -403,10 +384,10 @@ class TestComponentStateDicts:
             scaler.load_state_dict(state)
 
     def test_missing_key_rejected(self):
-        bank = P2QuantileBank(2)
+        bank = RingBufferBank(2, 4)
         state = bank.state_dict()
-        state.pop("heights")
-        with pytest.raises(KeyError, match="heights"):
+        state.pop("counts")
+        with pytest.raises(KeyError, match="counts"):
             bank.load_state_dict(state)
 
     def test_detector_structure_mismatch_rejected(self, small_autoencoder):
@@ -463,6 +444,24 @@ class TestCrashConsistentSave:
             save_checkpoint(ckpt_dir, engine, extra={"tick": np.asarray(8)})
         monkeypatch.undo()
         assert _contents(ckpt_dir) == saved  # no new-generation file left
+        restored, extra = load_checkpoint(ckpt_dir)
+        assert int(extra["tick"]) == 4
+        _assert_blocks_match(restored, live_fleet, reference, start=4)
+
+    def test_object_extra_is_refused_before_the_commit(
+        self, tmp_path, small_autoencoder, train_fleet, live_fleet, reference
+    ):
+        """The loader reads without pickle, so an object-dtype ``extra``
+        must fail the save and leave the previous generation committed."""
+        ckpt_dir = tmp_path / "ckpt"
+        engine = build_fleet_engine(small_autoencoder, train_fleet)
+        engine.step_block(live_fleet[:, :4])
+        save_checkpoint(ckpt_dir, engine, extra={"tick": np.asarray(4)})
+        saved = _contents(ckpt_dir)
+        engine.step_block(live_fleet[:, 4:8])
+        with pytest.raises(ValueError, match="allow_pickle"):
+            save_checkpoint(ckpt_dir, engine, extra={"k": np.asarray([1, "x"], dtype=object)})
+        assert _contents(ckpt_dir) == saved
         restored, extra = load_checkpoint(ckpt_dir)
         assert int(extra["tick"]) == 4
         _assert_blocks_match(restored, live_fleet, reference, start=4)
@@ -660,15 +659,18 @@ class TestRejections:
         with pytest.raises(CheckpointError, match="not a stream checkpoint"):
             load_checkpoint(tmp_path)
 
-    @pytest.mark.parametrize("version", [2, 3])
+    @pytest.mark.parametrize("version", [2, 3, 4])
     def test_old_manifest_version_rejected(self, saved, version):
-        """Versions 2 and 3 listed a table of member files and a station
-        assignment, and version 2 recorded the removed closed-loop mode;
-        neither is resumed."""
+        """Version 4 recorded the removed adaptive-threshold mode;
+        versions 2 and 3 listed a table of member files and a station
+        assignment, and version 2 recorded the removed closed-loop mode.
+        None is resumed."""
         manifest = _manifest(saved)
         manifest["version"] = version
-        manifest["shards"] = [manifest.pop("state")]
-        manifest["assignment"] = [0] * manifest.pop("n_stations")
+        manifest["pipeline"]["detector"]["adaptive"] = True
+        if version < 4:
+            manifest["shards"] = [manifest.pop("state")]
+            manifest["assignment"] = [0] * manifest.pop("n_stations")
         if version == 2:
             manifest["pipeline"]["feedback"] = True
         (saved / MANIFEST_NAME).write_text(json.dumps(manifest))

@@ -6,8 +6,7 @@ reshape the fleet mid-stream — :meth:`add_stations` and
 :meth:`drop_stations`.  They share one loop body, so:
 
 - a loop of ``step_block`` calls reproduces ``run`` at the same block
-  size exactly, with and without mitigation and with adaptive
-  thresholds;
+  size exactly, with and without mitigation;
 - a rejected block or a rejected churn request leaves the engine as it
   was, so the stream continues exactly as if it had never been sent;
 - a drop renumbers survivors compactly and an add never moves an
@@ -74,19 +73,6 @@ class TestRunIsTheStepLoop:
             live_fleet, block_size=block_size
         )
         engine = build_fleet_engine(small_autoencoder, train_fleet, policy)
-        _assert_outputs_equal(
-            _step_blocks(engine, live_fleet, block_size), _report_outputs(reference)
-        )
-
-    @pytest.mark.parametrize("block_size", [1, 4, 7, N_TICKS])
-    def test_adaptive_step_block_loop_matches_run(
-        self, small_autoencoder, train_fleet, live_fleet, block_size
-    ):
-        """P² thresholds adapt per block the same way in both entry points."""
-        reference = build_fleet_engine(small_autoencoder, train_fleet, adaptive=True).run(
-            live_fleet, block_size=block_size
-        )
-        engine = build_fleet_engine(small_autoencoder, train_fleet, adaptive=True)
         _assert_outputs_equal(
             _step_blocks(engine, live_fleet, block_size), _report_outputs(reference)
         )
@@ -285,7 +271,7 @@ class TestChurnKeepsSurvivorState:
     ):
         """Station ``j`` becomes ``j - (dropped below j)`` with its
         detector and mitigator state bit for bit."""
-        engine = build_fleet_engine(small_autoencoder, train_fleet, adaptive=True)
+        engine = build_fleet_engine(small_autoencoder, train_fleet)
         _step_blocks(engine, live_fleet[:, :12], 4)
         survivors = np.setdiff1d(np.arange(N_STATIONS), drop)
         detector = _per_station_rows(engine.detector.state_dict(), N_STATIONS, survivors)

@@ -3,13 +3,12 @@
 The block-ingestion contract (PR 3):
 
 * ``block_size=1`` reproduces the tick-by-tick pipeline **bit-for-bit**
-  (detector, scaler, buffers, adaptive sketch, engine report);
-* for any ``B`` the results (fixed thresholds) are bit-identical to
+  (detector, scaler, buffers, engine report);
+* for any ``B`` the results are bit-identical to
   tick-by-tick replay — and hence to the batch detector, whose parity
   with tick replay is already pinned by ``test_stream_parity.py``;
 * every bulk bank API (``push_block``, ``partial_fit_block``,
-  ``update_block``, ``mitigate_block``) equals its sequential
-  counterpart exactly;
+  ``mitigate_block``) equals its sequential counterpart exactly;
 * the steady-state block loop does not grow allocations call over call.
 """
 
@@ -29,7 +28,6 @@ from repro.stream.mitigation import (
     SeasonalHoldMitigator,
     StreamingMitigator,
 )
-from repro.stream.quantile import P2QuantileBank, P2QuantileEstimator
 from repro.stream.scaler import StreamingMinMaxScaler
 
 
@@ -90,18 +88,6 @@ class TestBlockTickParity:
             np.testing.assert_array_equal(block.flags[:, 0], tick.flags)
             np.testing.assert_array_equal(block.scores[:, 0], tick.scores)
         np.testing.assert_array_equal(d_tick.buffers._data, d_block.buffers._data)
-
-    def test_block_size_one_adaptive_matches_sketch_state(self, small_autoencoder, fleet):
-        d_tick = StreamingDetector(small_autoencoder, 4, threshold="p2")
-        d_block = StreamingDetector(small_autoencoder, 4, threshold="p2")
-        scaled = (fleet - fleet.min()) / np.ptp(fleet)
-        for t in range(scaled.shape[1]):
-            tick = d_tick.process_tick(scaled[:, t])
-            block = d_block.process_block(scaled[:, t : t + 1])
-            np.testing.assert_array_equal(block.flags[:, 0], tick.flags)
-            np.testing.assert_array_equal(block.scores[:, 0], tick.scores)
-        np.testing.assert_array_equal(d_tick.adaptive._heights, d_block.adaptive._heights)
-        np.testing.assert_array_equal(d_tick.adaptive.counts, d_block.adaptive.counts)
 
     @pytest.mark.parametrize("block_size", [3, 7, 16, 60, 100])
     def test_open_loop_blocks_match_tick_replay(
@@ -375,46 +361,6 @@ class TestScalerBlocks:
         )
         np.testing.assert_array_equal(out, [[5.0, 0.5]])
         np.testing.assert_array_equal(scaler.data_max_, [10.0])
-
-
-class TestQuantileBlocks:
-    def test_update_block_equals_sequential_updates(self):
-        rng = np.random.default_rng(2)
-        values = rng.normal(size=(3, 40))
-        seq, blk = P2QuantileBank(3, 90.0), P2QuantileBank(3, 90.0)
-        for t in range(values.shape[1]):
-            seq.update(values[:, t])
-        blk.update_block(values)
-        np.testing.assert_array_equal(seq._heights, blk._heights)
-        np.testing.assert_array_equal(seq.counts, blk.counts)
-
-    def test_update_block_mask_excludes_entries(self):
-        rng = np.random.default_rng(3)
-        values = rng.normal(size=(2, 30))
-        mask = rng.random((2, 30)) < 0.7
-        seq, blk = P2QuantileBank(2, 75.0), P2QuantileBank(2, 75.0)
-        for t in range(values.shape[1]):
-            take = mask[:, t]
-            if take.any():
-                seq.update(values[take, t], np.flatnonzero(take))
-        blk.update_block(values, mask=mask)
-        np.testing.assert_array_equal(seq._heights, blk._heights)
-        np.testing.assert_array_equal(seq.counts, blk.counts)
-
-    def test_update_block_rejects_mismatched_mask(self):
-        bank = P2QuantileBank(2, 50.0)
-        with pytest.raises(ValueError, match="mask shape"):
-            bank.update_block(np.zeros((2, 4)), mask=np.ones((2, 3), dtype=bool))
-
-    def test_update_many_matches_scalar_updates(self):
-        rng = np.random.default_rng(4)
-        scores = rng.exponential(size=200)
-        one_by_one = P2QuantileEstimator(98.0)
-        for score in scores:
-            one_by_one.update(float(score))
-        bulk = P2QuantileEstimator(98.0).update_many(scores)
-        assert bulk.estimate == one_by_one.estimate
-        assert bulk.count == one_by_one.count
 
 
 class TestMitigatorBlockParity:

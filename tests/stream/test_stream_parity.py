@@ -157,23 +157,10 @@ class TestStreamingDetector:
         assert np.all(rates < 0.25)
         assert np.all(rates > 0.0)
 
-    def test_adaptive_p2_flags_only_after_calibration(self, trained_batch_detector):
-        batch, scaled = trained_batch_detector
-        streaming = StreamingDetector(
-            batch.autoencoder, 1, threshold="p2", min_calibration_scores=30
-        )
-        flagged_early = 0
-        for t in range(batch.sequence_length - 1 + 30):
-            flagged_early += streaming.process_tick(scaled[t : t + 1]).n_flagged
-        assert flagged_early == 0
-        assert np.isfinite(streaming.thresholds[0])
-
     def test_validation(self, trained_batch_detector):
         batch, _ = trained_batch_detector
         with pytest.raises(ValueError, match="n_stations"):
             StreamingDetector(batch.autoencoder, 0)
-        with pytest.raises(ValueError, match="threshold string"):
-            StreamingDetector(batch.autoencoder, 1, threshold="median")
         with pytest.raises(ValueError, match="scaler tracks"):
             StreamingDetector(
                 batch.autoencoder, 2, scaler=StreamingMinMaxScaler(3)
