@@ -466,8 +466,9 @@ def pack_add_stations(
 ) -> bytes:
     """Encode an ADD_STATIONS control frame (v2, auth-gated).
 
-    Mirrors the engine churn API: optional per-newcomer thresholds and
-    scaler bounds travel as JSON lists.  ``cid`` is an opaque
+    Mirrors the engine churn API: per-newcomer thresholds (optional) and
+    scaler bounds (required when the served detector owns a scaler)
+    travel as JSON lists.  ``cid`` is an opaque
     correlation id echoed back in the CONTROL_ACK.
     """
     payload: dict = {"cid": int(cid), "n_new": int(n_new), "token": token}

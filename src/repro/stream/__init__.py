@@ -5,8 +5,9 @@ full series on every call — fine for reproducing the paper's tables,
 useless for a live federated deployment ingesting readings from
 thousands of charging stations.  This package is the online serving
 path: per-station ring buffers hold exactly one autoencoder window of
-history (:mod:`~repro.stream.buffers`), scaling is incremental and
-per-station (:mod:`~repro.stream.scaler`), thresholds are calibrated
+history (:mod:`~repro.stream.buffers`), scaling is per-station under
+fixed MinMax bounds fitted on training data, as in the paper
+(:mod:`~repro.stream.scaler`), thresholds are calibrated
 per station from normal history, inference is *micro-batched* — one
 LSTM forward pass per tick for the whole fleet, not one per station
 (:mod:`~repro.stream.detector`) — and mitigation is causal, built only
@@ -28,7 +29,7 @@ bit-exact resume (:mod:`~repro.stream.checkpoint`), fleets grow and
 shrink at runtime (``add_stations``/``drop_stations`` on the detector,
 engine and every state bank), and NaN readings can be accepted as
 missing data (``StreamingDetector(..., missing="impute")``) — imputed
-causally, excluded from scaler bounds, and counted per-station in the report.  One in-process
+causally, never flagged, and counted per-station in the report.  One in-process
 :class:`~repro.stream.engine.StreamReplayEngine` runs the whole fleet.
 
 Quickstart::
@@ -38,6 +39,7 @@ Quickstart::
         attack_fleet,
     )
 
+    fleet_scaler = StreamingMinMaxScaler.from_bounds(train_min, train_max)
     detector = StreamingDetector(trained_autoencoder, n_stations,
                                  scaler=fleet_scaler)
     detector.calibrate(normal_history)          # per-station 98th pct

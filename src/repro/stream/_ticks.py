@@ -11,7 +11,7 @@ slot, and a dropped reading must be an error, not a quiet data loss.
 Validation happens ONCE per tick/block at the detector boundary; the
 banks' public methods validate for standalone use, but expose
 ``*_checked`` fast paths so a pipeline never pays for the same check
-three times (scaler fit, scaler transform, buffer push) on one input.
+twice (scaler transform, buffer push) on one input.
 """
 
 from __future__ import annotations

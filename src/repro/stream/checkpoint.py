@@ -75,15 +75,19 @@ from repro.stream.mitigation import _REGISTRY, StreamingMitigator
 from repro.stream.scaler import StreamingMinMaxScaler
 
 _FORMAT = "repro.stream.checkpoint"
-#: 5: the detector recipe drops the removed adaptive-threshold mode and
-#: its options.  Version 4 may carry that mode's state; version 3 has a
-#: table of member files and a station assignment; version 2 may have
-#: been saved with the removed closed mitigation loop.  None is resumed:
-#: all are rejected.
-_VERSION = 5
+#: 6: the scaler state drops the mode flag of the removed running-bounds
+#: scaler.  Version 5 carries that flag; version 4 may carry the
+#: removed adaptive-threshold mode's state; version 3 has a table of
+#: member files and a station assignment; version 2 may have been saved
+#: with the removed closed mitigation loop.  None is resumed: all are
+#: rejected.
+_VERSION = 6
 MANIFEST_NAME = "manifest.json"
 #: Every data file the writer produces: ``<role>-<generation>.npz``.
 _DATA_FILE = re.compile(r"(?:model|state|extra)-(\d+)\.npz")
+#: ``np.savez``'s own keyword parameters: an ``extra`` key spelled like
+#: one would bind to the parameter instead of naming an array.
+_RESERVED_EXTRA_KEYS = ("file", "allow_pickle")
 
 
 class CheckpointError(ValueError):
@@ -186,17 +190,20 @@ def _build_engine(
 ) -> StreamReplayEngine:
     """Rebuild an engine from its recipe, model and state.
 
-    The mitigator's no-anchor ``fallback`` is part of the serialized
-    state: the engine constructor's automatic scaler wiring must not
-    re-derive it from the *restored* bounds (which may have widened
-    since the original engine was built), or the resumed run could
-    repair no-anchor flags differently than the uninterrupted one.
+    The scaler is built from the saved bounds, so they pass the same
+    validation as live ones.  The mitigator's no-anchor ``fallback`` is
+    serialized state: it is restored entry for entry after the engine
+    constructor's scaler wiring, so the resumed run repairs no-anchor
+    flags exactly as the uninterrupted one.
     """
     detector_meta = meta["detector"]
     scaler = None
     if detector_meta["scaler"] is not None:
+        bounds = unnest(state["detector"], "scaler")
         scaler = StreamingMinMaxScaler(
-            n_stations, feature_range=tuple(detector_meta["scaler"]["feature_range"])
+            bounds["data_min"],
+            bounds["data_max"],
+            feature_range=tuple(detector_meta["scaler"]["feature_range"]),
         )
     detector = StreamingDetector(
         autoencoder,
@@ -212,11 +219,7 @@ def _build_engine(
         mitigator.load_state_dict(state["mitigator"])
     engine = StreamReplayEngine(detector, mitigator=mitigator)
     if mitigator is not None:
-        fallback = mitigator.fallback.copy()
-        engine.mitigator.set_fallback(fallback)
-        # Keep the engine's wiring shortcut coherent with the restored
-        # (possibly partially-unset) fallback.
-        engine._fallback_wired = scaler is None or bool(np.isfinite(fallback).all())
+        mitigator.set_fallback(state["mitigator"]["fallback"])
     return engine
 
 
@@ -318,10 +321,17 @@ def save_checkpoint(
 
     ``extra`` stashes arbitrary named arrays (e.g. the replay position
     in an offline fleet matrix) alongside the pipeline; it is rewritten
-    every save.  An object-dtype array cannot be read back without
-    pickle, so it raises ``ValueError`` and the previous checkpoint
-    stays committed.
+    every save.  Its keys must be strings other than
+    ``np.savez``'s own parameter names (``file``, ``allow_pickle``), and
+    an object-dtype array cannot be read back without pickle; either
+    raises ``ValueError`` and the previous checkpoint stays committed.
     """
+    for key in extra or {}:
+        if not isinstance(key, str) or key in _RESERVED_EXTRA_KEYS:
+            raise ValueError(
+                f"extra key {key!r} cannot name a checkpoint array: keys must be "
+                f"str and not one of {_RESERVED_EXTRA_KEYS}"
+            )
     reg = obs.registry()
     save_start = time.perf_counter()
     path = Path(path)

@@ -116,8 +116,8 @@ class StreamingDetector:
         Fleet size.
     scaler:
         Optional :class:`~repro.stream.scaler.StreamingMinMaxScaler`
-        applied to raw readings before buffering.  Omit when the stream
-        is already in scaled space.
+        (fixed per-station bounds) applied to raw readings before
+        buffering.  Omit when the stream is already in scaled space.
     threshold:
         Scalar or ``(n_stations,)`` array of decision boundaries.  Omit
         it to install per-station thresholds later via :meth:`calibrate`;
@@ -130,8 +130,7 @@ class StreamingDetector:
         ``"impute"`` treats it as a missing observation — a causal
         stand-in (the station's last buffered value, or the scale floor
         for a cold buffer) fills the window so scoring continues, the
-        missing reading never widens scaler bounds, the station is not
-        flagged at that tick, and :attr:`missing_counts` tracks
+        station is not flagged at that tick, and :attr:`missing_counts` tracks
         per-station totals.  The replay
         engine additionally repairs missing entries with the mitigation
         policy (see :class:`~repro.stream.engine.StreamReplayEngine`).
@@ -237,8 +236,8 @@ class StreamingDetector:
         ``values`` is ``(n_stations, B)`` raw readings, oldest column
         first (or ``(k, B)`` for the subset named by ``stations`` —
         heterogeneous schedules ingest block-wise too).  All ``B``
-        columns are scaled with exact tick-by-tick bound-widening
-        semantics, pushed into the ring buffers in one scatter, and every
+        columns are scaled under the fixed per-station bounds, pushed
+        into the ring buffers in one scatter, and every
         window the block completes is scored in ONE autoencoder forward
         pass.
 
@@ -267,16 +266,9 @@ class StreamingDetector:
                     f"{self.tick}; missing readings are rejected by default — "
                     "construct the detector with missing='impute' to accept them"
                 )
-            present = ~miss if any_missing else None
-
             if self.scaler is not None:
-                # Transform BEFORE committing bounds: the block transform
-                # replays the per-column running bounds internally (missing
-                # entries excluded from the bounds and the finiteness check).
-                scaled = self.scaler.transform_block_checked(
-                    values, station_index, present
-                )
-                self.scaler.partial_fit_block_checked(values, station_index, present)
+                # Missing entries scale to NaN; the impute below fills them.
+                scaled = self.scaler.transform_block_checked(values, station_index)
             elif any_missing:
                 scaled = values.copy()
             else:
@@ -326,7 +318,7 @@ class StreamingDetector:
                 if any_missing:
                     # An absent reading is never flagged (the score judged
                     # an imputed stand-in, not a sensor value).
-                    flagged &= present.take(rows * block + cols)
+                    flagged &= ~miss.take(rows * block + cols)
                 flags.put(decided, flagged)
         scored.put(decided, True)
         if reg.enabled:
@@ -419,14 +411,11 @@ class StreamingDetector:
         The replay engine never calls this: detection scores the raw
         series, as the batch detector does.  Rewritten values change the
         history the *next* windows score, while windows already scored
-        keep their scores.  Values are re-scaled under the current bounds
-        (never widening them; a rewrite is not an observation).
+        keep their scores.  Values are scaled under the fixed bounds, as
+        readings are.
 
         ``flags`` (same shape, optional) restricts the rewrite to the
-        flagged entries.  Pass it when the scaler is live: clean readings
-        were buffered under mid-block *running* bounds, and rewriting
-        them under end-of-block bounds would silently alter unflagged
-        stations' history.
+        flagged entries; the other buffered readings stay as they are.
         """
         values, station_index = check_block(values, stations, self.n_stations)
         if flags is not None:
@@ -436,11 +425,7 @@ class StreamingDetector:
                     f"flags shape {flags.shape} must match values shape {values.shape}"
                 )
         if self.scaler is not None:
-            # `flags` doubles as the present mask: stations with no
-            # rewritten entries need no fitted bounds.
-            values = self.scaler.transform_block_fixed_checked(
-                values, station_index, present=flags
-            )
+            values = self.scaler.transform_block_checked(values, station_index)
         self.buffers.amend_block_checked(values, station_index, mask=flags)
 
     # ------------------------------------------------------------------
@@ -506,8 +491,9 @@ class StreamingDetector:
         station's state untouched.  Pass ``thresholds`` (scalar or
         ``(n_new,)``) or the newcomers never flag (NaN boundary) until
         :meth:`calibrate` runs again.  When the detector owns a scaler,
-        ``data_min``/``data_max`` seed the newcomers' bounds (required
-        if the scaler is frozen).
+        ``data_min``/``data_max`` are the newcomers' fixed bounds and
+        are required; invalid bounds raise :class:`ValueError` before
+        anything changes.
         """
         if n_new < 1:
             raise ValueError(f"n_new must be >= 1, got {n_new}")

@@ -192,18 +192,10 @@ class StreamReplayEngine:
                 "was removed; repairs are never written back into detection"
             )
         self.detector = detector
-        # True once every station's fallback is wired (wiring is
-        # monotone, so steady-state per-tick wiring calls are O(1)).
-        self._fallback_wired = False
-        if mitigator is None:
-            self.mitigator: StreamingMitigator | None = None
-            self._fallback_wired = True
-        else:
-            self.mitigator = get_mitigator(mitigator, detector.n_stations)
-            if detector.scaler is None:
-                self._fallback_wired = True
-            else:
-                self._wire_fallback()
+        self.mitigator: StreamingMitigator | None = (
+            None if mitigator is None else get_mitigator(mitigator, detector.n_stations)
+        )
+        self._wire_fallback()
 
     @property
     def n_stations(self) -> int:
@@ -211,44 +203,35 @@ class StreamReplayEngine:
         return self.detector.n_stations
 
     def _wire_fallback(self) -> None:
-        """Default the mitigator's no-anchor fallback to scaler minima.
+        """Default the mitigator's unset no-anchor fallbacks to scaler minima.
 
         A station flagged before it has any clean reading (attacked on
         its first tick) has no anchor to hold; without a fallback the
         attacked value would flow downstream as "mitigated".  The
-        smallest reading the scaler has ever seen per station is a safe
-        causal stand-in.  Only unset (NaN) fallback entries are filled,
-        so explicit user-provided fallbacks win.
+        scaler's fixed lower bound per station is a safe stand-in.  Only
+        unset (non-finite) fallback entries are filled, so explicit
+        user-provided fallbacks win.
 
-        Runs at engine construction AND at the top of every replay
-        step: a live (initially unfitted) scaler has no bounds at
-        construction, so each station's fallback is installed the step
-        after its bounds first become finite — from readings strictly
-        before the current ones, keeping the wiring causal and
-        bit-reproducible across checkpoint/restore (it depends only on
-        serialized scaler state).
+        Bounds are given up front, so this runs only where a station can
+        gain an unset entry: at engine construction and in
+        :meth:`add_stations`.  Without a mitigator or a scaler it does
+        nothing.
         """
-        if self._fallback_wired:
+        if self.mitigator is None or self.detector.scaler is None:
             return
         unset = ~np.isfinite(self.mitigator.fallback)
         if not unset.any():
-            self._fallback_wired = True
             return
-        data_min = self.detector.scaler.data_min_
-        fill = unset & np.isfinite(data_min)
-        if fill.any():
-            fallback = self.mitigator.fallback.copy()
-            fallback[fill] = data_min[fill]
-            self.mitigator.set_fallback(fallback)
-            reg = obs.registry()
-            if reg.enabled:
-                reg.counter(
-                    "repro_stream_fallback_wired_total",
-                    help="Stations whose no-anchor mitigation fallback was "
-                    "wired from the scaler minimum.",
-                ).inc(int(fill.sum()))
-            if bool(np.isfinite(fallback).all()):
-                self._fallback_wired = True
+        fallback = self.mitigator.fallback.copy()
+        fallback[unset] = self.detector.scaler.data_min_[unset]
+        self.mitigator.set_fallback(fallback)
+        reg = obs.registry()
+        if reg.enabled:
+            reg.counter(
+                "repro_stream_fallback_wired_total",
+                help="Stations whose no-anchor mitigation fallback was "
+                "wired from the scaler minimum.",
+            ).inc(int(unset.sum()))
 
     @hot_path
     def _step_block(self, values: np.ndarray, reg) -> tuple:
@@ -258,7 +241,6 @@ class StreamReplayEngine:
         (:mod:`repro.serve`), so a served stream and an offline replay
         of the same readings take one code path.
         """
-        self._wire_fallback()
         result = self.detector.process_block(values)
         if self.mitigator is None:
             return result.flags, result.scores, result.missing, values.copy()
@@ -489,18 +471,15 @@ class StreamReplayEngine:
         """Grow the fleet mid-operation: detector and mitigator together.
 
         See :meth:`StreamingDetector.add_stations`; the mitigator (when
-        present) gains matching cold stations and its no-anchor fallback
-        is re-wired from the scaler bounds for the newcomers.
+        present) gains matching cold stations, whose no-anchor fallback
+        is wired from their scaler bounds.
         """
         self.detector.add_stations(
             n_new, thresholds=thresholds, data_min=data_min, data_max=data_max
         )
         if self.mitigator is not None:
             self.mitigator.add_stations(n_new)
-            if self.detector.scaler is not None:
-                # Newcomers join with an unset fallback.
-                self._fallback_wired = False
-                self._wire_fallback()
+            self._wire_fallback()
         self._count_churn("add", int(n_new))
 
     def drop_stations(self, stations: np.ndarray) -> None:

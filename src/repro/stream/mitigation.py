@@ -13,9 +13,9 @@ When a station is flagged before it has produced *any* clean reading
 per-station :attr:`StreamingMitigator.fallback` value covers that gap:
 when set, a no-anchor repair emits the fallback instead of passing the
 attacked value through raw.  :class:`~repro.stream.engine.StreamReplayEngine`
-wires the fallback to the detector scaler's ``data_min_`` (the smallest
-reading ever observed per station) automatically; stations without a
-fallback keep the historical raw-passthrough behaviour.
+wires the fallback to the detector scaler's fixed ``data_min_`` (each
+station's lower bound) automatically; stations without a fallback keep
+the historical raw-passthrough behaviour.
 
 Every built-in policy has one implementation,
 :meth:`StreamingMitigator.mitigate_block`, which repairs a

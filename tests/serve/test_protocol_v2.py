@@ -496,6 +496,55 @@ class TestRemoteChurn:
         )
         _assert_churn_parity(served, pre, post)
 
+    def test_unusable_bounds_are_refused_and_the_stream_keeps_serving(
+        self, small_autoencoder
+    ):
+        """ADD_STATIONS with NaN, ±inf or inverted scaler bounds is a
+        CONTROL_ACK refusal naming the bounds, at the same width — not a
+        consumer crash at the next block — and the stream then serves
+        exactly as a churn-free one."""
+        fleet_pre, fleet_post = self._fleets(103, 104, self.N0)
+        bad_bounds = [
+            ([np.nan], [np.nan]),
+            ([-np.inf], [np.inf]),
+            ([2.0], [1.0]),
+        ]
+
+        async def scenario():
+            server = IngestionServer(
+                build_engine(small_autoencoder, fleet_pre),
+                block_size=self.BLOCK,
+                lateness=self.LATENESS,
+                max_inflight=256,
+            )
+            await server.start()
+            async with IngestClient(port=server.port, client_id="ops", seed=0) as client:
+                await _send_block_stream(client, fleet_pre)
+                await client.drain()
+                for data_min, data_max in bad_bounds:
+                    with pytest.raises(ControlError, match="data_min/data_max"):
+                        await client.add_stations(
+                            1, thresholds=0.5, data_min=data_min, data_max=data_max
+                        )
+                    assert server.n_stations == self.N0
+                stations = np.arange(self.N0, dtype=np.int64)
+                for t in range(self.T_POST):
+                    await client.send_block(stations, self.T_SENT + t, fleet_post[:, t])
+                await client.drain()
+            await server.finish()
+            return server.served()
+
+        served = run(scenario())
+        pre_cut = self._pre_processed()
+        pre, post = _expected_churn_reference(
+            build_engine(small_autoencoder, fleet_pre),
+            fleet_pre[:, :pre_cut],
+            np.hstack([fleet_pre[:, pre_cut:], fleet_post]),
+            self.BLOCK,
+            lambda engine: None,
+        )
+        _assert_churn_parity(served, pre, post)
+
     def test_control_requires_credential(self, small_autoencoder):
         """With auth on, churn needs the control HMAC — a valid *data*
         credential alone is refused, and the fleet stays untouched."""

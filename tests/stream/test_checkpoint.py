@@ -202,7 +202,7 @@ class TestManifest:
         ckpt_dir = save_checkpoint(tmp_path / "ckpt", engine)
         manifest = _manifest(ckpt_dir)
         assert manifest["format"] == "repro.stream.checkpoint"
-        assert manifest["version"] == 5
+        assert manifest["version"] == 6
         assert manifest["tick"] == 4
         assert manifest["n_stations"] == N_STATIONS
         assert manifest["model"]["file"] == "model-0.npz"
@@ -285,28 +285,31 @@ class TestManifest:
 class TestPipelineContract:
     def test_restored_engine_keeps_serialized_fallback(self, small_autoencoder, tmp_path):
         """Regression: the restore must reproduce the SAVED fallback
-        exactly (wiring is replay-step-deterministic, so re-deriving it
-        from restored bounds must be a no-op — never a divergence from
-        the uninterrupted run)."""
+        entry for entry — an explicit value and an entry unset after
+        construction alike — not re-derive it from the restored bounds."""
         fleet = synthesize_fleet(2, 30, seed=6)
-        scaler = StreamingMinMaxScaler(2)  # unfitted at engine build
+        scaler = StreamingMinMaxScaler.from_bounds(fleet.min(axis=1), fleet.max(axis=1))
         detector = StreamingDetector(small_autoencoder, 2, scaler=scaler, threshold=0.5)
         engine = StreamReplayEngine(detector, "hold_last_good")
-        assert not np.isfinite(engine.mitigator.fallback).any()
-        engine.run(fleet[:, :15])  # per-step wiring has filled it now
-        assert np.isfinite(engine.mitigator.fallback).all()
+        np.testing.assert_array_equal(engine.mitigator.fallback, fleet.min(axis=1))
+        engine.mitigator.set_fallback([33.0, np.nan])
+        engine.run(fleet[:, :15])
         resumed, _extra = load_checkpoint(save_checkpoint(tmp_path / "wire", engine))
-        np.testing.assert_array_equal(resumed.mitigator.fallback, engine.mitigator.fallback)
+        np.testing.assert_array_equal(resumed.mitigator.fallback, [33.0, np.nan])
 
-    def test_resume_parity_with_live_scaler(self, small_autoencoder, tmp_path):
-        """Uninterrupted vs. checkpoint-resumed replay over a LIVE
-        (initially unfitted, adapting) scaler: identical outputs."""
+    def test_resume_parity_with_first_reading_attacked(self, small_autoencoder, tmp_path):
+        """Uninterrupted vs. checkpoint-resumed replay when a station's
+        first reading lies far outside its bounds: identical outputs."""
         fleet = synthesize_fleet(3, 40, seed=13)
+        bounds = fleet.min(axis=1), fleet.max(axis=1)
         fleet[1, 0] = 500.0  # first reading attacked
 
         def engine():
             detector = StreamingDetector(
-                small_autoencoder, 3, scaler=StreamingMinMaxScaler(3), threshold=0.05
+                small_autoencoder,
+                3,
+                scaler=StreamingMinMaxScaler.from_bounds(*bounds),
+                threshold=0.05,
             )
             return StreamReplayEngine(detector, "hold_last_good")
 
@@ -361,14 +364,12 @@ class TestComponentStateDicts:
         np.testing.assert_array_equal(bank.windows(), clone.windows())
 
     def test_scaler_roundtrip(self):
-        scaler = StreamingMinMaxScaler(3)
-        scaler.partial_fit(np.array([1.0, 2.0, 3.0]))
-        scaler.partial_fit(np.array([4.0, 1.0, 9.0]))
-        clone = StreamingMinMaxScaler(3)
+        scaler = StreamingMinMaxScaler.from_bounds([1.0, 1.0, 3.0], [4.0, 2.0, 9.0])
+        clone = StreamingMinMaxScaler.from_bounds(np.zeros(3), np.ones(3))
         clone.load_state_dict(scaler.state_dict())
         probe = np.array([2.0, 1.5, 6.0])
         np.testing.assert_array_equal(scaler.transform(probe), clone.transform(probe))
-        assert clone.frozen == scaler.frozen
+        assert sorted(clone.state_dict()) == ["data_max", "data_min"]
 
     def test_shape_mismatch_rejected(self):
         bank = RingBufferBank(3, 4)
@@ -378,7 +379,7 @@ class TestComponentStateDicts:
             wrong.load_state_dict(state)
 
     def test_unknown_keys_rejected(self):
-        scaler = StreamingMinMaxScaler(2)
+        scaler = StreamingMinMaxScaler.from_bounds(np.zeros(2), np.ones(2))
         state = scaler.state_dict() | {"bogus": np.zeros(2)}
         with pytest.raises(ValueError, match="unexpected"):
             scaler.load_state_dict(state)
@@ -461,6 +462,31 @@ class TestCrashConsistentSave:
         engine.step_block(live_fleet[:, 4:8])
         with pytest.raises(ValueError, match="allow_pickle"):
             save_checkpoint(ckpt_dir, engine, extra={"k": np.asarray([1, "x"], dtype=object)})
+        assert _contents(ckpt_dir) == saved
+        restored, extra = load_checkpoint(ckpt_dir)
+        assert int(extra["tick"]) == 4
+        _assert_blocks_match(restored, live_fleet, reference, start=4)
+
+
+    @pytest.mark.parametrize(
+        "key", ["file", "allow_pickle", 3, ("a", "b")], ids=["file", "allow_pickle", "int", "tuple"]
+    )
+    def test_reserved_or_non_str_extra_key_is_refused_before_anything_is_written(
+        self, tmp_path, small_autoencoder, train_fleet, live_fleet, reference, key
+    ):
+        """``np.savez`` takes archive members as keywords, so a key named
+        like one of its parameters, or not a string, cannot name an
+        array: the save raises ``ValueError`` naming the key and leaves
+        the previous generation committed."""
+        ckpt_dir = tmp_path / "ckpt"
+        engine = build_fleet_engine(small_autoencoder, train_fleet)
+        engine.step_block(live_fleet[:, :4])
+        save_checkpoint(ckpt_dir, engine, extra={"tick": np.asarray(4)})
+        saved = _contents(ckpt_dir)
+        engine.step_block(live_fleet[:, 4:8])
+        with pytest.raises(ValueError, match="extra key") as excinfo:
+            save_checkpoint(ckpt_dir, engine, extra={"tick": np.asarray(8), key: np.arange(2)})
+        assert repr(key) in str(excinfo.value)
         assert _contents(ckpt_dir) == saved
         restored, extra = load_checkpoint(ckpt_dir)
         assert int(extra["tick"]) == 4
@@ -659,15 +685,46 @@ class TestRejections:
         with pytest.raises(CheckpointError, match="not a stream checkpoint"):
             load_checkpoint(tmp_path)
 
-    @pytest.mark.parametrize("version", [2, 3, 4])
+    @pytest.mark.parametrize(
+        ("data_min", "data_max"),
+        [
+            pytest.param(np.nan, 1.0, id="nan"),
+            pytest.param(0.0, np.inf, id="inf"),
+            pytest.param(-np.inf, 1.0, id="neg-inf"),
+            pytest.param(2.0, 1.0, id="inverted"),
+            pytest.param(0.0, 1e-320, id="subnormal-span"),
+        ],
+    )
+    def test_unusable_scaler_bounds_name_the_state_file(self, saved, data_min, data_max):
+        """Saved bounds pass the same check as live ones: a bad pair is a
+        CheckpointError at load, not a RuntimeError at the first block."""
+        name = _manifest(saved)["state"]["file"]
+
+        def corrupt(arrays):
+            arrays["detector.scaler.data_min"][3] = data_min
+            arrays["detector.scaler.data_max"][3] = data_max
+
+        rewrite_archive(saved, name, corrupt)
+        with pytest.raises(CheckpointError, match="data_min/data_max") as excinfo:
+            load_checkpoint(saved)
+        assert str(saved / name) in str(excinfo.value)
+
+    @pytest.mark.parametrize("version", [2, 3, 4, 5])
     def test_old_manifest_version_rejected(self, saved, version):
-        """Version 4 recorded the removed adaptive-threshold mode;
-        versions 2 and 3 listed a table of member files and a station
-        assignment, and version 2 recorded the removed closed-loop mode.
-        None is resumed."""
+        """Versions 2–5 saved the removed running-bounds scaler's mode
+        flag; version 4 also recorded the removed adaptive-threshold
+        mode; versions 2 and 3 listed a table of member files and a
+        station assignment, and version 2 recorded the removed
+        closed-loop mode.  None is resumed."""
+        rewrite_archive(
+            saved,
+            _manifest(saved)["state"]["file"],
+            lambda arrays: arrays.update({"detector.scaler.frozen": np.asarray(True)}),
+        )
         manifest = _manifest(saved)
         manifest["version"] = version
-        manifest["pipeline"]["detector"]["adaptive"] = True
+        if version < 5:
+            manifest["pipeline"]["detector"]["adaptive"] = True
         if version < 4:
             manifest["shards"] = [manifest.pop("state")]
             manifest["assignment"] = [0] * manifest.pop("n_stations")

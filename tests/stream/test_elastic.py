@@ -1,7 +1,7 @@
 """Elastic fleets: stations join and leave at runtime.
 
 The churn contract: ``add_stations`` brings newcomers in cold (empty
-buffers, unfitted or seeded bounds, NaN or given thresholds) and
+buffers, their own fixed scaler bounds, NaN or given thresholds) and
 ``drop_stations`` removes rows — in both cases every SURVIVING
 station's state is bit-for-bit untouched, so its future decisions match
 a churn-free run exactly.
@@ -50,18 +50,10 @@ class TestBankResizing:
         bank.drop_stations([1])
         np.testing.assert_array_equal(bank.last(), [10.0, 30.0])
 
-    def test_scaler_add_unfitted_then_learns(self):
-        scaler = StreamingMinMaxScaler(2)
-        scaler.partial_fit(np.array([1.0, 5.0]))
-        scaler.add_stations(1)
-        assert not scaler.fitted[2]
-        scaler.partial_fit(np.array([1.0, 5.0, 7.0]))
-        assert scaler.fitted[2]
-
-    def test_frozen_scaler_requires_bounds_for_newcomers(self):
+    def test_scaler_requires_bounds_for_newcomers(self):
         scaler = StreamingMinMaxScaler.from_bounds([0.0], [1.0])
-        with pytest.raises(ValueError, match="frozen"):
-            scaler.add_stations(1)
+        with pytest.raises(ValueError, match="both data_min and data_max"):
+            scaler.add_stations(1, data_min=None, data_max=None)
         scaler.add_stations(1, data_min=np.array([2.0]), data_max=np.array([4.0]))
         np.testing.assert_array_equal(
             scaler.transform(np.array([0.5, 3.0])), [0.5, 0.5]
@@ -136,6 +128,17 @@ class TestDetectorChurn:
             reference.scores[:, 40:], second.scores
         )
         np.testing.assert_array_equal(reference.mitigated[:, 40:], second.mitigated)
+
+    def test_newcomer_fallback_wired_from_its_bounds(self, small_autoencoder):
+        """A newcomer's no-anchor fallback is its own scaler minimum;
+        survivors keep theirs, explicit ones included."""
+        fleet = synthesize_fleet(2, 20, seed=5)
+        engine = self._engine(small_autoencoder, fleet, threshold=0.01)
+        engine.mitigator.set_fallback([33.0, engine.mitigator.fallback[1]])
+        before = engine.mitigator.fallback.copy()
+        engine.add_stations(2, data_min=np.array([4.0, 7.0]), data_max=np.full(2, 90.0))
+        np.testing.assert_array_equal(engine.mitigator.fallback, [*before, 4.0, 7.0])
+        assert before[0] == 33.0
 
     def test_newcomers_warm_up_before_scoring(self, small_autoencoder):
         fleet = synthesize_fleet(2, 40, seed=5)

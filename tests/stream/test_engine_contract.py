@@ -21,6 +21,8 @@ the batch's row count.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.stream.checkpoint import load_checkpoint, save_checkpoint
 from repro.stream.engine import synthesize_fleet
@@ -171,7 +173,7 @@ def _bad_churn(kind):
         return "add_stations", (0,), {}
     if kind == "add_negative":
         return "add_stations", (-2,), {}
-    if kind == "add_to_frozen_scaler_without_bounds":
+    if kind == "add_without_bounds":
         return "add_stations", (2,), {"thresholds": 0.5}
     if kind == "add_with_wrong_threshold_count":
         return "add_stations", (2,), {"thresholds": np.ones(3), **bounds}
@@ -192,7 +194,7 @@ class TestChurn:
             "drop_negative_index",
             "add_zero",
             "add_negative",
-            "add_to_frozen_scaler_without_bounds",
+            "add_without_bounds",
             "add_with_wrong_threshold_count",
             "add_with_wrong_bound_count",
             "add_with_only_one_bound",
@@ -248,6 +250,51 @@ class TestChurn:
             _step_blocks(restored, later, block_size),
             _step_blocks(uninterrupted, later, block_size),
         )
+
+
+def _state_bytes(engine) -> dict:
+    """Every array of the engine's state, as (dtype, shape, raw bytes)."""
+    state = engine.detector.state_dict() | {
+        f"mitigator.{key}": value for key, value in engine.mitigator.state_dict().items()
+    }
+    return {key: (value.dtype, value.shape, value.tobytes()) for key, value in state.items()}
+
+
+#: NaN, ±inf, any float, or a tame one so that valid bound pairs come up
+#: often.
+_BOUND = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf]), st.floats(), st.floats(-1e3, 1e3)
+)
+
+
+class TestAddStationsBoundsProperty:
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_add_either_takes_and_steps_or_changes_nothing(
+        self, small_autoencoder, train_fleet, live_fleet, data
+    ):
+        """Whatever bounds arrive, ``add_stations`` either succeeds and the
+        next ``step_block`` succeeds at the new width, or raises
+        ``ValueError`` and leaves the engine's state bit for bit."""
+        n_new = data.draw(st.integers(1, 3), label="n_new")
+        # Mostly the right length, sometimes one short or one long.
+        lengths = st.one_of(st.just(n_new), st.integers(n_new - 1, n_new + 1))
+        data_min = data.draw(lengths.flatmap(lambda n: st.lists(_BOUND, min_size=n, max_size=n)))
+        data_max = data.draw(lengths.flatmap(lambda n: st.lists(_BOUND, min_size=n, max_size=n)))
+        engine = build_fleet_engine(small_autoencoder, train_fleet)
+        _step_blocks(engine, live_fleet[:, :8], 4)
+        before = _state_bytes(engine)
+        try:
+            engine.add_stations(
+                n_new, thresholds=0.5, data_min=np.array(data_min), data_max=np.array(data_max)
+            )
+        except ValueError:
+            assert engine.n_stations == engine.mitigator.n_stations == N_STATIONS
+            assert _state_bytes(engine) == before
+            return
+        block = np.vstack([live_fleet[:, 8:12], np.full((n_new, 4), 30.0)])
+        flags, _scores, _missing, _mitigated = engine.step_block(block)
+        assert flags.shape == (N_STATIONS + n_new, 4)
 
 
 def _per_station_rows(state: dict, n_stations: int, rows) -> dict:

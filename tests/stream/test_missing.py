@@ -5,7 +5,7 @@ with a clear error and commits nothing):
 
 * a missing reading is imputed causally (last buffered value, scale
   floor for a cold buffer) so the station keeps scoring;
-* it never widens scaler bounds;
+* it never moves the (fixed) scaler bounds;
 * the station is never flagged at a missing tick, and per-station
   missing counts are tracked (detector) and reported (engine);
 * the replay engine repairs missing entries through the mitigation
@@ -30,13 +30,10 @@ def small_autoencoder():
     return LSTMAutoencoder(config, seed=11)
 
 
-def _detector(autoencoder, fleet, missing="impute", threshold=0.5, frozen=True):
-    if frozen:
-        scaler = StreamingMinMaxScaler.from_bounds(
-            np.nanmin(fleet, axis=1), np.nanmax(fleet, axis=1)
-        )
-    else:
-        scaler = StreamingMinMaxScaler(fleet.shape[0])
+def _detector(autoencoder, fleet, missing="impute", threshold=0.5):
+    scaler = StreamingMinMaxScaler.from_bounds(
+        np.nanmin(fleet, axis=1), np.nanmax(fleet, axis=1)
+    )
     return StreamingDetector(
         autoencoder,
         fleet.shape[0],
@@ -64,19 +61,6 @@ class TestDefaultRaise:
 
 
 class TestImputeSemantics:
-    def test_missing_never_widens_unfrozen_bounds(self, small_autoencoder):
-        fleet = synthesize_fleet(2, 30, seed=2)
-        detector = _detector(small_autoencoder, fleet, frozen=False)
-        detector.process_tick(np.array([10.0, 20.0]))
-        bounds = (detector.scaler.data_min_.copy(), detector.scaler.data_max_.copy())
-        detector.process_tick(np.array([np.nan, np.nan]))
-        np.testing.assert_array_equal(detector.scaler.data_min_, bounds[0])
-        np.testing.assert_array_equal(detector.scaler.data_max_, bounds[1])
-        # A present reading still widens as usual.
-        detector.process_tick(np.array([5.0, np.nan]))
-        assert detector.scaler.data_min_[0] == 5.0
-        assert detector.scaler.data_max_[1] == bounds[1][1]
-
     def test_missing_station_is_never_flagged(self, small_autoencoder):
         length = small_autoencoder.config.sequence_length
         fleet = synthesize_fleet(1, 2 * length, seed=4)
@@ -187,19 +171,17 @@ class TestEngineIntegration:
         fleet = synthesize_fleet(1000, 24, seed=9, dropout_rate=0.05)
         n_missing = int(np.isnan(fleet).sum())
         assert n_missing > 0
-        detector = _detector(small_autoencoder, fleet, frozen=False)
-        detector.scaler.partial_fit(np.nan_to_num(fleet[:, 0], nan=1.0))
-        bounds_max = detector.scaler.data_max_.copy()
+        detector = _detector(small_autoencoder, fleet)
+        bounds = (detector.scaler.data_min_.copy(), detector.scaler.data_max_.copy())
         engine = StreamReplayEngine(detector, mitigator="hold_last_good")
         report = engine.run(fleet, block_size=8)
         assert int(report.missing.sum()) == n_missing
         np.testing.assert_array_equal(
             report.missing_counts, detector.missing_counts
         )
-        # Bounds only widened where a PRESENT reading exceeded them.
-        widened = detector.scaler.data_max_ > bounds_max
-        present_max = np.nanmax(np.where(np.isnan(fleet), -np.inf, fleet), axis=1)
-        np.testing.assert_array_equal(widened, present_max > bounds_max)
+        # Fixed bounds: no reading, present or missing, moves them.
+        np.testing.assert_array_equal(detector.scaler.data_min_, bounds[0])
+        np.testing.assert_array_equal(detector.scaler.data_max_, bounds[1])
 
     def test_attack_fleet_dropout_knob(self, tiny_clients):
         from repro.attacks import AttackScenario, DDoSVolumeAttack
@@ -214,20 +196,17 @@ class TestEngineIntegration:
         np.testing.assert_array_equal(labels, labels2)
         np.testing.assert_array_equal(clean[~mask], dropped[~mask])
 
-    def test_first_reading_missing_with_fallback_and_unfitted_scaler(
-        self, small_autoencoder
-    ):
-        """Regression: a finite fallback repair on a station whose
-        running-bounds scaler has never seen a reading (its very first
-        reading is missing) must not crash mitigation — tick and block
-        replays both complete."""
+    def test_first_reading_missing_with_explicit_fallback(self, small_autoencoder):
+        """Regression: a finite fallback repair on a station whose very
+        first reading is missing must not crash mitigation — tick and
+        block replays both complete, and the explicit fallback wins."""
         from repro.stream.mitigation import HoldLastGoodMitigator
 
         fleet = synthesize_fleet(3, 24, seed=11)
         fleet[2, 0] = np.nan  # station 2's first-ever reading is missing
 
         def run(block_size):
-            detector = _detector(small_autoencoder, fleet, frozen=False)
+            detector = _detector(small_autoencoder, fleet)
             mitigator = HoldLastGoodMitigator(3, fallback=5.0)
             engine = StreamReplayEngine(detector, mitigator=mitigator)
             return engine.run(fleet, block_size=block_size)

@@ -7,8 +7,8 @@ The block-ingestion contract (PR 3):
 * for any ``B`` the results are bit-identical to
   tick-by-tick replay — and hence to the batch detector, whose parity
   with tick replay is already pinned by ``test_stream_parity.py``;
-* every bulk bank API (``push_block``, ``partial_fit_block``,
-  ``mitigate_block``) equals its sequential counterpart exactly;
+* every bulk bank API (``push_block``, ``mitigate_block``) equals its
+  sequential counterpart exactly;
 * the steady-state block loop does not grow allocations call over call.
 """
 
@@ -44,12 +44,8 @@ def fleet():
     return synthesize_fleet(4, 60, seed=4)
 
 
-def _detector(autoencoder, fleet, threshold=0.01, frozen=True):
-    if frozen:
-        scaler = StreamingMinMaxScaler.from_bounds(fleet.min(axis=1), fleet.max(axis=1))
-    else:
-        scaler = StreamingMinMaxScaler(fleet.shape[0])
-        scaler.partial_fit(fleet[:, 0])
+def _detector(autoencoder, fleet, threshold=0.01):
+    scaler = StreamingMinMaxScaler.from_bounds(fleet.min(axis=1), fleet.max(axis=1))
     return StreamingDetector(
         autoencoder, fleet.shape[0], scaler=scaler, threshold=threshold
     )
@@ -107,33 +103,17 @@ class TestBlockTickParity:
         np.testing.assert_allclose(tick_scores, block_scores, rtol=1e-6, atol=0)
         np.testing.assert_array_equal(tick_flags, block_flags)
 
-    def test_mid_block_bound_widening_matches_tick_semantics(
-        self, small_autoencoder, fleet
-    ):
-        """A record-breaking reading mid-block widens the live scaler for
-        itself and later columns exactly as sequential ingestion would."""
-        spiked = fleet.copy()
-        spiked[1, 30] = spiked[1].max() * 3
-        d_tick = _detector(small_autoencoder, spiked, frozen=False)
-        d_block = _detector(small_autoencoder, spiked, frozen=False)
-        tick_scores, tick_flags = _tick_replay(d_tick, spiked)
-        block_scores, block_flags = _block_replay(d_block, spiked, 11)
-        np.testing.assert_allclose(tick_scores, block_scores, rtol=1e-6, atol=0)
-        np.testing.assert_array_equal(tick_flags, block_flags)
-        np.testing.assert_array_equal(d_tick.scaler.data_min_, d_block.scaler.data_min_)
-        np.testing.assert_array_equal(d_tick.scaler.data_max_, d_block.scaler.data_max_)
-
     def test_nan_reading_raises_without_poisoning_state(
         self, small_autoencoder, fleet
     ):
         """Tick and block both reject a NaN reading (under the default
-        ``missing="raise"``) BEFORE committing scaler bounds, so one bad
+        ``missing="raise"``) without touching scaler bounds, so one bad
         sensor value never silently disables a station — and the
         pipeline recovers on the next clean input."""
         bad_tick = fleet[:, 0].copy()
         bad_tick[1] = np.nan
         for mode in ("tick", "block"):
-            detector = _detector(small_autoencoder, fleet, frozen=False)
+            detector = _detector(small_autoencoder, fleet)
             with pytest.raises(ValueError, match="missing='impute'"):
                 if mode == "tick":
                     detector.process_tick(bad_tick)
@@ -196,15 +176,14 @@ class TestEngineBlockMode:
 
     def test_masked_amend_preserves_clean_history(self, small_autoencoder, fleet):
         """A masked amend rewrites only the selected entries: a clean
-        station's buffered history keeps its running-bounds scaling even
-        when other stations are rewritten under end-of-block bounds."""
-        detector = _detector(small_autoencoder, fleet, frozen=False)
+        station's buffered history stays as it was while the flagged
+        station is rewritten, although every row offers new values."""
+        detector = _detector(small_autoencoder, fleet)
         detector.process_block(fleet[:, :20])
         before = detector.buffers.windows().copy()
         flags = np.zeros((fleet.shape[0], 20), dtype=bool)
         flags[0, :] = True
-        repaired = fleet[:, :20].copy()
-        repaired[0] *= 0.5
+        repaired = fleet[:, :20] * 0.5
         detector.amend_block(repaired, flags=flags)
         after = detector.buffers.windows()
         np.testing.assert_array_equal(before[1:], after[1:])
@@ -307,55 +286,14 @@ class TestRingBufferBlocks:
 
 
 class TestScalerBlocks:
-    def test_partial_fit_block_equals_sequential(self):
-        rng = np.random.default_rng(1)
-        values = rng.normal(size=(3, 9))
-        seq, blk = StreamingMinMaxScaler(3), StreamingMinMaxScaler(3)
-        for t in range(values.shape[1]):
-            seq.partial_fit(values[:, t])
-        blk.partial_fit_block(values)
-        np.testing.assert_array_equal(seq.data_min_, blk.data_min_)
-        np.testing.assert_array_equal(seq.data_max_, blk.data_max_)
-
-    def test_transform_block_replays_running_bounds(self):
-        values = np.array([[1.0, 5.0, 3.0, 9.0, 2.0]])
-        seq = StreamingMinMaxScaler(1)
-        expected = np.column_stack(
-            [
-                seq.partial_fit(values[:, t]).transform(values[:, t])
-                for t in range(values.shape[1])
-            ]
-        )
-        blk = StreamingMinMaxScaler(1)
-        out = blk.transform_block(values)
-        blk.partial_fit_block(values)
-        np.testing.assert_array_equal(expected, out)
-        np.testing.assert_array_equal(seq.data_max_, blk.data_max_)
-
-    def test_frozen_transform_block_uses_fixed_bounds(self):
+    def test_transform_block_uses_fixed_bounds(self):
         scaler = StreamingMinMaxScaler.from_bounds([0.0], [10.0])
         out = scaler.transform_block(np.array([[5.0, 20.0]]))
         np.testing.assert_array_equal(out, [[0.5, 2.0]])
         np.testing.assert_array_equal(scaler.data_max_, [10.0])
 
-    def test_nan_reading_raises_like_tick_path(self):
-        """A NaN reading must error, not silently scale to NaN — and the
-        failed block transform must not poison the committed bounds."""
-        tick = StreamingMinMaxScaler(1)
-        tick.partial_fit(np.array([1.0]))
-        with np.errstate(invalid="ignore"):  # NaN folding warns by design
-            tick.partial_fit(np.array([np.nan]))
-        with pytest.raises(RuntimeError, match="transform"):
-            tick.transform(np.array([np.nan]))
-        blk = StreamingMinMaxScaler(1)
-        blk.partial_fit(np.array([1.0]))
-        with pytest.raises(RuntimeError, match="transform"):
-            blk.transform_block(np.array([[2.0, np.nan]]))
-        np.testing.assert_array_equal(blk.data_min_, [1.0])
-
     def test_fixed_block_transform_never_widens(self):
-        scaler = StreamingMinMaxScaler(1)
-        scaler.partial_fit(np.array([0.0])).partial_fit(np.array([10.0]))
+        scaler = StreamingMinMaxScaler.from_bounds([0.0], [10.0])
         out = scaler.transform_block_fixed_checked(
             np.array([[50.0, 5.0]]), np.array([0])
         )

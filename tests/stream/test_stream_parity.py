@@ -163,7 +163,9 @@ class TestStreamingDetector:
             StreamingDetector(batch.autoencoder, 0)
         with pytest.raises(ValueError, match="scaler tracks"):
             StreamingDetector(
-                batch.autoencoder, 2, scaler=StreamingMinMaxScaler(3)
+                batch.autoencoder,
+                2,
+                scaler=StreamingMinMaxScaler.from_bounds(np.zeros(3), np.ones(3)),
             )
         with pytest.raises(ValueError, match="normal_fleet"):
             StreamingDetector(batch.autoencoder, 2).calibrate(np.zeros((3, 100)))

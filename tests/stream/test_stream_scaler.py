@@ -1,4 +1,4 @@
-"""Tests for the incremental per-station MinMax scaler."""
+"""Tests for the fixed-bounds per-station MinMax scaler."""
 
 import numpy as np
 import pytest
@@ -8,73 +8,49 @@ from repro.stream.scaler import StreamingMinMaxScaler
 
 
 class TestStreamingMinMaxScaler:
-    def test_matches_batch_scaler_after_full_pass(self):
-        rng = np.random.default_rng(0)
-        fleet = rng.random((4, 50)) * 30 + 5
-        streaming = StreamingMinMaxScaler(4)
-        for t in range(fleet.shape[1]):
-            streaming.partial_fit(fleet[:, t])
-        for j in range(4):
-            batch = MinMaxScaler().fit(fleet[j])
-            np.testing.assert_allclose(
-                streaming.transform(fleet[:, 0])[j],
-                batch.transform(fleet[j, 0:1])[0],
-            )
-
-    def test_from_batch_scalers_exact_interop(self):
+    def test_batch_scaler_bounds_give_bit_identical_transform(self):
+        """One batch scaler per station, its bounds fed through
+        ``from_bounds``: the streaming transform is the batch transform
+        bit for bit, per tick, per block and over a whole history."""
         rng = np.random.default_rng(1)
-        series = [rng.random(40) * scale for scale in (10, 100)]
+        series = np.stack([rng.random(40) * scale for scale in (10, 100)])
         batch_scalers = [MinMaxScaler().fit(s) for s in series]
-        streaming = StreamingMinMaxScaler.from_batch_scalers(batch_scalers)
-        tick = np.array([series[0][7], series[1][7]])
-        expected = np.array(
-            [batch_scalers[j].transform(tick[j : j + 1])[0] for j in range(2)]
+        streaming = StreamingMinMaxScaler.from_bounds(
+            [b.data_min_[0] for b in batch_scalers], [b.data_max_[0] for b in batch_scalers]
         )
-        np.testing.assert_array_equal(streaming.transform(tick), expected)
-        assert streaming.frozen
-
-    def test_from_batch_scalers_rejects_multi_feature(self):
-        """Regression: a multi-feature batch scaler used to be silently
-        truncated to its first column, mis-scaling everything else."""
-        rng = np.random.default_rng(2)
-        multi = MinMaxScaler().fit(rng.random((30, 3)))
-        single = MinMaxScaler().fit(rng.random(30))
-        with pytest.raises(ValueError, match="3 features"):
-            StreamingMinMaxScaler.from_batch_scalers([single, multi])
-
-    def test_from_batch_scalers_rejects_unfitted(self):
-        with pytest.raises(ValueError, match="not fitted"):
-            StreamingMinMaxScaler.from_batch_scalers([MinMaxScaler()])
-
-    def test_round_trip(self):
-        streaming = StreamingMinMaxScaler.from_bounds([0.0, 10.0], [5.0, 30.0])
-        values = np.array([2.5, 17.0])
-        np.testing.assert_allclose(
-            streaming.inverse_transform(streaming.transform(values)), values
-        )
+        expected = np.stack([b.transform(s) for b, s in zip(batch_scalers, series, strict=True)])
+        np.testing.assert_array_equal(streaming.transform(series[:, 7]), expected[:, 7])
+        np.testing.assert_array_equal(streaming.transform_block(series[:, 5:9]), expected[:, 5:9])
+        np.testing.assert_array_equal(streaming.transform_fleet(series), expected)
 
     def test_constant_station_maps_to_lower_bound(self):
         streaming = StreamingMinMaxScaler.from_bounds([4.0], [4.0])
         np.testing.assert_array_equal(streaming.transform(np.array([4.0])), [0.0])
 
-    def test_freeze_stops_adaptation(self):
-        streaming = StreamingMinMaxScaler(1)
-        streaming.partial_fit(np.array([1.0]))
-        streaming.partial_fit(np.array([3.0]))
-        streaming.freeze()
-        streaming.partial_fit(np.array([100.0]))
-        assert streaming.data_max_[0] == 3.0
+    def test_partial_fit_names_are_a_no_op(self):
+        """Bounds are fixed: every fit name returns the scaler untouched."""
+        scaler = StreamingMinMaxScaler.from_bounds([1.0, 2.0], [3.0, 4.0])
+        assert scaler.partial_fit(np.array([100.0, -100.0])) is scaler
+        assert scaler.partial_fit_checked(np.array([100.0]), np.array([0])) is scaler
+        assert scaler.partial_fit_block(np.full((2, 3), 100.0)) is scaler
+        assert scaler.partial_fit_block_checked(np.full((2, 3), -9.0), np.arange(2)) is scaler
+        np.testing.assert_array_equal(scaler.data_min_, [1.0, 2.0])
+        np.testing.assert_array_equal(scaler.data_max_, [3.0, 4.0])
 
-    def test_transform_before_fit_raises(self):
-        streaming = StreamingMinMaxScaler(2)
-        with pytest.raises(RuntimeError, match="partial_fit"):
-            streaming.transform(np.zeros(2))
+    def test_tick_and_block_names_share_one_transform(self):
+        scaler = StreamingMinMaxScaler.from_bounds([0.0, 10.0], [10.0, 30.0])
+        values = np.array([5.0, 40.0])
+        stations = np.arange(2)
+        expected = scaler.transform_block(values[:, None])[:, 0]
+        np.testing.assert_array_equal(expected, [0.5, 1.5])
+        np.testing.assert_array_equal(scaler.transform(values), expected)
+        np.testing.assert_array_equal(scaler.ingest_tick_checked(values, stations), expected)
+        np.testing.assert_array_equal(
+            scaler.transform_block_fixed_checked(values[:, None], stations)[:, 0], expected
+        )
 
-    def test_partial_station_updates(self):
-        streaming = StreamingMinMaxScaler(3)
-        streaming.partial_fit(np.array([1.0]), stations=np.array([1]))
-        streaming.partial_fit(np.array([9.0]), stations=np.array([1]))
-        np.testing.assert_array_equal(streaming.fitted, [False, True, False])
+    def test_partial_station_transform(self):
+        streaming = StreamingMinMaxScaler.from_bounds([0.0, 1.0, 0.0], [1.0, 9.0, 1.0])
         assert streaming.transform(np.array([5.0]), stations=np.array([1]))[0] == 0.5
 
     def test_transform_fleet_matches_per_tick_transform(self):
@@ -97,13 +73,71 @@ class TestStreamingMinMaxScaler:
             scaler.transform_fleet(np.zeros((2, 5)))
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="n_stations"):
-            StreamingMinMaxScaler(0)
+        with pytest.raises(ValueError, match="at least one station"):
+            StreamingMinMaxScaler.from_bounds([], [])
         with pytest.raises(ValueError, match="feature_range"):
-            StreamingMinMaxScaler(1, feature_range=(1.0, 1.0))
+            StreamingMinMaxScaler.from_bounds([0.0], [1.0], feature_range=(1.0, 1.0))
+        scaler = StreamingMinMaxScaler.from_bounds([0.0, 0.0], [1.0, 1.0])
         with pytest.raises(ValueError, match="expected 2 values"):
-            StreamingMinMaxScaler(2).partial_fit(np.zeros(3))
+            scaler.transform(np.zeros(3))
+        three = StreamingMinMaxScaler.from_bounds(np.zeros(3), np.ones(3))
         with pytest.raises(ValueError, match="duplicate"):
-            StreamingMinMaxScaler(3).partial_fit(
-                np.array([1.0, 2.0]), stations=np.array([0, 0])
-            )
+            three.transform(np.array([1.0, 2.0]), stations=np.array([0, 0]))
+
+
+BAD_BOUNDS = [
+    pytest.param([np.nan], [1.0], id="nan-min"),
+    pytest.param([0.0], [np.nan], id="nan-max"),
+    pytest.param([-np.inf], [1.0], id="neg-inf-min"),
+    pytest.param([0.0], [np.inf], id="inf-max"),
+    pytest.param([2.0], [1.0], id="inverted"),
+    pytest.param([-1e308], [1e308], id="overflowing-span"),
+    pytest.param([0.0], [1e-320], id="subnormal-span"),
+]
+
+
+class TestBoundsValidation:
+    """Bounds are checked wherever they enter; a refusal changes nothing."""
+
+    @pytest.mark.parametrize(("data_min", "data_max"), BAD_BOUNDS)
+    def test_constructor_rejects(self, data_min, data_max):
+        with pytest.raises(ValueError, match="data_min/data_max"):
+            StreamingMinMaxScaler.from_bounds(data_min, data_max)
+
+    @pytest.mark.parametrize(("data_min", "data_max"), BAD_BOUNDS)
+    def test_add_stations_rejects_and_changes_nothing(self, data_min, data_max):
+        scaler = StreamingMinMaxScaler.from_bounds([0.0], [1.0])
+        with pytest.raises(ValueError, match="data_min/data_max"):
+            scaler.add_stations(1, data_min=data_min, data_max=data_max)
+        assert scaler.n_stations == 1
+        np.testing.assert_array_equal(scaler.data_min_, [0.0])
+        np.testing.assert_array_equal(scaler.data_max_, [1.0])
+
+    @pytest.mark.parametrize(("data_min", "data_max"), BAD_BOUNDS)
+    def test_load_state_dict_rejects_and_changes_nothing(self, data_min, data_max):
+        scaler = StreamingMinMaxScaler.from_bounds([0.0], [1.0])
+        state = {"data_min": np.array(data_min), "data_max": np.array(data_max)}
+        with pytest.raises(ValueError, match="data_min/data_max"):
+            scaler.load_state_dict(state)
+        np.testing.assert_array_equal(scaler.data_min_, [0.0])
+        np.testing.assert_array_equal(scaler.data_max_, [1.0])
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError, match="same number"):
+            StreamingMinMaxScaler.from_bounds([0.0, 1.0], [2.0])
+        scaler = StreamingMinMaxScaler.from_bounds([0.0], [1.0])
+        with pytest.raises(ValueError, match="each hold 2 values"):
+            scaler.add_stations(2, data_min=[0.0], data_max=[1.0])
+
+    def test_add_stations_requires_both_bounds(self):
+        scaler = StreamingMinMaxScaler.from_bounds([0.0], [1.0])
+        with pytest.raises(ValueError, match="both data_min and data_max"):
+            scaler.add_stations(1, data_min=[0.0], data_max=None)
+        with pytest.raises(ValueError, match="both data_min and data_max"):
+            scaler.add_stations(1, data_min=None, data_max=None)
+
+    def test_bounds_are_copied(self):
+        data_min, data_max = np.array([0.0]), np.array([1.0])
+        scaler = StreamingMinMaxScaler.from_bounds(data_min, data_max)
+        data_min[0] = 0.5
+        np.testing.assert_array_equal(scaler.data_min_, [0.0])
