@@ -85,6 +85,11 @@ class Dense(Layer):
         populated, so ``backward`` must not follow.
         """
         inputs = self._cast(inputs)
+        if inputs.ndim > 2 and not inputs.flags.c_contiguous:
+            # A sequence view (an LSTM's gate-major output, RepeatVector's
+            # broadcast) is no BLAS operand; numpy may multiply it in its
+            # own loop, with other bits.  Gather it, as forward's input is.
+            inputs = np.ascontiguousarray(inputs)
         bk = backend if backend is not None else backends.resolve_backend(self.backend)
         bias = self._bias.value if self.use_bias else None
         return bk.dense_forward(inputs, self._kernel.value, bias, self.activation)

@@ -63,6 +63,15 @@ output) and the gate-gradient staging ``(T, B, 4U)``, written through
 its per-step ``(4U, B)`` view.  The training forward caches gates as
 ``(4U, T, B)`` so the input projection of all timesteps stays one gemm.
 
+Inference keeps sequences gate-major *between* layers as well.  A
+``return_sequences`` layer's ``infer`` writes each ``h_t`` into row ``t``
+of a fresh ``(T, U, B)`` array and returns the ``(B, T, U)`` transposed
+view; the next LSTM projects that view's ``inputs[:, t, :]`` — an
+F-ordered ``(B, U)`` BLAS operand — in place, so no step copies its
+input or scatters its output.  Only a consumer that needs rows
+(``TimeDistributed``'s fold, a ``Dense`` on a sequence) gathers the view,
+once per call.
+
 Because workspaces are reused, a layer instance must not be driven from
 multiple threads concurrently (models are cheap — use one per thread, as
 the federated runtime does).
@@ -87,6 +96,23 @@ _MAX_WORKSPACES = 16
 #: huge window set cannot pin several giant buffers for process lifetime.
 _LARGE_INFER_BATCH = 8192
 _MAX_LARGE_INFER = 2
+
+
+def _steps_blas_ready(inputs: np.ndarray) -> bool:
+    """Whether ``np.matmul`` hands each step's ``inputs[:, t, :]`` to BLAS.
+
+    numpy's rule for a 2-D operand: unit stride along one axis and a
+    stride along the other that spans at least a row (or column).
+    Anything else — a reversed or doubly strided batch — numpy either
+    multiplies in its own loop, which rounds differently from BLAS, or
+    (recent releases) copies into a temporary on every call.
+    """
+    item = inputs.itemsize
+    rows, _, cols = inputs.shape
+    s_rows, _, s_cols = inputs.strides
+    return (s_cols == item and s_rows % item == 0 and s_rows // item >= cols) or (
+        s_rows == item and s_cols % item == 0 and s_cols // item >= rows
+    )
 
 
 class LSTM(Layer):
@@ -247,10 +273,8 @@ class LSTM(Layer):
             self._infer_workspaces[batch] = ws  # re-insert: dict order is LRU order
         else:
             units = self.units
-            features = int(self.input_shape[-1])
             dtype = self.dtype
             ws = {
-                "x_t": np.empty((batch, features), dtype=dtype),
                 "z": np.empty((4 * units, batch), dtype=dtype),
                 "hz": np.empty((4 * units, batch), dtype=dtype),
                 "h": np.empty((units, batch), dtype=dtype),
@@ -281,9 +305,23 @@ class LSTM(Layer):
         dispatch amortises over the whole block while memory traffic
         stays flat.  The state and gates are gate-major — ``z`` is
         ``(4U, batch)``, ``h``/``c`` are ``(U, batch)`` — so every
-        elementwise pass is contiguous; inputs and outputs keep the
-        layer's ``(batch, timesteps, ...)`` layout.  ``backward`` after
-        ``infer`` is undefined.
+        elementwise pass is contiguous.
+
+        Inference moves no bytes it does not compute on:
+
+        * each step's input projection reads ``inputs[:, t, :]`` in
+          place (a view numpy cannot hand to BLAS, such as a reversed
+          batch, is gathered once first, so the product keeps its BLAS
+          bits);
+        * a time-invariant input — :class:`RepeatVector`'s broadcast
+          view, time stride 0 — is projected once per call;
+        * a ``return_sequences`` layer writes each ``h_t`` straight into
+          a fresh gate-major ``(T, U, batch)`` array and returns its
+          ``(batch, T, U)`` transposed *view*, which the next LSTM reads
+          without a copy.
+
+        The result is always writable and freshly allocated (never a
+        workspace).  ``backward`` after ``infer`` is undefined.
 
         ``backend`` is an already-resolved backend handle (chunked
         callers resolve once); ``None`` resolves per call, never per step.
@@ -294,36 +332,61 @@ class LSTM(Layer):
                 f"LSTM expects (batch, timesteps, features) input, got {inputs.shape}"
             )
         bk = backend if backend is not None else backends.resolve_backend(self.backend)
-        batch, timesteps, _ = inputs.shape
+        batch, timesteps, features = inputs.shape
         units = self.units
         packed = self._refresh_packed()
         ws = self._infer_workspace(batch)
+        if features > 1 and not _steps_blas_ready(inputs):
+            # Gather once, not per step, and keep every product on BLAS.
+            inputs = np.ascontiguousarray(inputs)
 
-        kernel, recurrent = packed["kernel"], packed["recurrent"]
-        bias = packed["bias"][:, None]
-        x_t, z = ws["x_t"], ws["z"]
-        h, c, tanh_c = ws["h"], ws["c"], ws["tanh_c"]
+        recurrent = packed["recurrent"]
+        z, h, c, tanh_c = ws["z"], ws["h"], ws["c"], ws["tanh_c"]
         h.fill(0.0)
         c.fill(0.0)
-        out_seq = (
-            np.empty((batch, timesteps, units), dtype=self.dtype)
+        invariant = timesteps > 1 and inputs.strides[1] == 0
+        if invariant:
+            z_once = ws.get("z_once")
+            if z_once is None:
+                z_once = ws["z_once"] = np.empty_like(z)
+            self._project(inputs[:, 0, :], packed, z_once)
+        out = (
+            np.empty((timesteps, units, batch), dtype=self.dtype)
             if self.return_sequences
             else None
         )
 
         for t in range(timesteps):
-            np.copyto(x_t, inputs[:, t, :])
-            np.matmul(x_t, kernel, out=z.T)
-            z += bias
-            # Fused step: recurrent matmul + gate activations + in-place
-            # state update, one backend kernel.
-            bk.lstm_step(z, h, c, c, h, tanh_c, recurrent, ws)
-            if out_seq is not None:
-                out_seq[:, t, :] = h.T
+            if invariant:
+                np.copyto(z, z_once)
+            else:
+                self._project(inputs[:, t, :], packed, z)
+            # Fused step: recurrent matmul + gate activations + state
+            # update, one backend kernel.  A sequence layer writes h_t
+            # into out[t] and reads h_{t-1} from out[t - 1].
+            h_out = h if out is None else out[t]
+            bk.lstm_step(z, h, c, c, h_out, tanh_c, recurrent, ws)
+            h = h_out
 
-        if out_seq is not None:
-            return out_seq
+        if out is not None:
+            return out.transpose(2, 0, 1)
         return h.T.copy()
+
+    @staticmethod
+    def _project(x: np.ndarray, packed: dict[str, np.ndarray], z: np.ndarray) -> None:
+        """Write ``x @ kernel + bias`` gate-major into ``z`` (``(4U, batch)``).
+
+        ``x`` is one step's ``(batch, features)`` input, any view BLAS
+        takes.  With one feature the product is an outer product, which
+        numpy's matmul computes outside BLAS with one rounding per
+        element; ``np.multiply`` gives the same bits without the matmul
+        dispatch.
+        """
+        if x.shape[1] == 1:
+            np.multiply(packed["kernel_t"], x.T, out=z)
+        else:
+            np.matmul(x, packed["kernel"], out=z.T)
+        z += packed["bias"][:, None]
 
     # -- computation ----------------------------------------------------
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:

@@ -5,12 +5,15 @@ in the Keras idiom).  Implementation folds the time axis into the batch
 axis, delegates to the inner layer, and unfolds again, so any layer that
 operates on ``(batch, features)`` works unchanged.
 
-Folding is allocation-aware: a C-contiguous input folds as a zero-copy
-``reshape`` view, and a strided one (transposed workspaces, sliced
-batches, the big window batches block-mode streaming pushes through the
-autoencoder) is gathered into a per-shape fold buffer that is reused
-across calls instead of `.reshape` silently materialising a fresh copy
-every forward/backward.
+A C-contiguous input folds as a zero-copy ``reshape`` view.  A strided
+one — in inference always, because an LSTM hands on its gate-major
+``(T, U, batch)`` sequence as a ``(batch, T, U)`` view — is gathered
+into a fresh C-ordered array, so the inner layer's matmul sees the same
+operand (and gives the same bits) as for a contiguous input.  The gather
+is not cached: a pass-through inner layer (``Dropout``, a linear
+``Activation``) returns its input, so a reused buffer would be handed to
+the caller and overwritten by the next call, and a buffer sized by a
+calibration pass would stay pinned for the life of the layer.
 """
 
 from __future__ import annotations
@@ -24,13 +27,10 @@ from repro.nn.layers.base import Layer
 class TimeDistributed(Layer):
     """Apply ``inner`` independently at every timestep of a 3-D input."""
 
-    _MAX_FOLD_BUFFERS = 8
-
     def __init__(self, inner: Layer, name: str | None = None) -> None:
         super().__init__(name=name or f"time_distributed_{inner.name}")
         self.inner = inner
         self._timesteps: int | None = None
-        self._fold_buffers: dict[tuple, np.ndarray] = {}
 
     @property
     def backend(self) -> object | None:
@@ -46,25 +46,16 @@ class TimeDistributed(Layer):
         if inner is not None:
             inner.backend = value
 
-    def _fold(self, array: np.ndarray, kind: str) -> np.ndarray:
+    @staticmethod
+    def _fold(array: np.ndarray) -> np.ndarray:
         """View ``(batch, timesteps, features)`` as ``(batch*timesteps, features)``.
 
         Zero-copy for C-contiguous input; strided input is gathered into
-        a reusable buffer keyed by ``(kind, shape, dtype)`` so repeated
-        calls at a steady shape never grow allocations.
+        a fresh C-ordered array (see the module docstring for why it is
+        never a reused buffer).
         """
         batch, timesteps, features = array.shape
-        if array.flags["C_CONTIGUOUS"]:
-            return array.reshape(batch * timesteps, features)
-        key = (kind, array.shape, array.dtype.str)
-        buffer = self._fold_buffers.pop(key, None)
-        if buffer is None:
-            if len(self._fold_buffers) >= self._MAX_FOLD_BUFFERS:
-                self._fold_buffers.pop(next(iter(self._fold_buffers)))
-            buffer = np.empty((batch * timesteps, features), dtype=array.dtype)
-        self._fold_buffers[key] = buffer  # re-insert: dict order is LRU order
-        np.copyto(buffer.reshape(array.shape), array)
-        return buffer
+        return np.ascontiguousarray(array).reshape(batch * timesteps, features)
 
     def build(self, input_shape: tuple[int, ...], rng: np.random.Generator) -> None:
         if len(input_shape) != 2:
@@ -90,7 +81,7 @@ class TimeDistributed(Layer):
                 f"TimeDistributed expects (batch, timesteps, features), got {inputs.shape}"
             )
         batch, timesteps, _ = inputs.shape
-        outputs = self.inner.forward(self._fold(inputs, "forward"), training=training)
+        outputs = self.inner.forward(self._fold(inputs), training=training)
         # Inner layers emit freshly-written contiguous outputs, so the
         # unfold is a view; np.reshape copies only if that ever changes.
         return np.reshape(outputs, (batch, timesteps, -1))
@@ -98,7 +89,7 @@ class TimeDistributed(Layer):
     def backward(self, grad: np.ndarray) -> np.ndarray:
         grad = self._cast(grad)
         batch, timesteps, _ = grad.shape
-        grad_inputs = self.inner.backward(self._fold(grad, "backward"))
+        grad_inputs = self.inner.backward(self._fold(grad))
         return np.reshape(grad_inputs, (batch, timesteps, -1))
 
     def infer(self, inputs: np.ndarray, backend: object | None = None) -> np.ndarray:
@@ -109,7 +100,7 @@ class TimeDistributed(Layer):
             )
         batch, timesteps, _ = inputs.shape
         bk = backend if backend is not None else backends.resolve_backend(self.backend)
-        outputs = self.inner.infer(self._fold(inputs, "infer"), backend=bk)
+        outputs = self.inner.infer(self._fold(inputs), backend=bk)
         return np.reshape(outputs, (batch, timesteps, -1))
 
     def zero_grads(self) -> None:

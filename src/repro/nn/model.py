@@ -167,6 +167,11 @@ class Sequential:
         default > ``REPRO_BACKEND`` > numpy) and the handle is threaded
         to every layer; chunked callers like :meth:`predict` pass their
         own pre-resolved handle so resolution never re-runs per chunk.
+
+        Layers hand each other views where they can (an LSTM's gate-major
+        sequence, RepeatVector's broadcast), so the result may be a
+        non-contiguous view; it is always writable and never a reused
+        workspace.
         """
         inputs = np.asarray(inputs)
         if not self.built:
@@ -175,6 +180,8 @@ class Sequential:
         outputs = self._cast(inputs)
         for layer in self.layers:
             outputs = layer.infer(outputs, backend=bk)
+        if not outputs.flags.writeable:
+            outputs = outputs.copy()  # a final RepeatVector's broadcast view
         return outputs
 
     def predict(self, inputs: np.ndarray, batch_size: int = 256) -> np.ndarray:
@@ -198,9 +205,10 @@ class Sequential:
         first = self.infer(inputs[:batch_size], backend=bk)
         if len(first) == n_samples:
             # A pass-through final layer can hand the caller's own array
-            # back; predict must never alias its input.
-            if np.may_share_memory(first, inputs):
-                return first.copy()
+            # back, and a sequence LSTM its gate-major view: predict
+            # returns a C-ordered array that aliases no input.
+            if not first.flags.c_contiguous or np.may_share_memory(first, inputs):
+                return first.copy()  # C order
             return first
         outputs = np.empty((n_samples,) + first.shape[1:], dtype=first.dtype)
         outputs[: len(first)] = first

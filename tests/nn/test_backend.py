@@ -11,7 +11,7 @@ numpy, with known-but-unavailable backends warning and falling back.
 import numpy as np
 import pytest
 
-from repro.nn import LSTM, Dense, Sequential, backend
+from repro.nn import LSTM, Dense, RepeatVector, Sequential, TimeDistributed, backend
 from repro.nn.activations import get as get_activation
 from repro.nn.backend import (
     BackendUnavailableError,
@@ -271,6 +271,36 @@ class TestNumbaKernelParity:
         jitted = small_model(dtype=dtype, backend="numba")
         jitted.set_weights(reference.get_weights())
         np.testing.assert_allclose(jitted.forward(x), reference.forward(x), **self.TOLS[dtype])
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("batch", [3, 300])
+    def test_sequence_and_repeat_stack_parity(self, rng, dtype, batch):
+        # A sequence layer's step writes h_out into a fresh row of its
+        # gate-major output, apart from h_prev (the previous row); the
+        # decoder reads RepeatVector's stride-0 view.  Batch 300 runs the
+        # parallel gate kernel.
+        def stack(name):
+            model = Sequential(
+                [
+                    LSTM(6, return_sequences=True),
+                    LSTM(3),
+                    RepeatVector(6),
+                    LSTM(3, return_sequences=True),
+                    LSTM(6, return_sequences=True),
+                    TimeDistributed(Dense(2)),
+                ],
+                dtype=dtype,
+                backend=name,
+            )
+            model.build((6, 2), seed=0)
+            return model
+
+        reference, jitted = stack("numpy"), stack("numba")
+        jitted.set_weights(reference.get_weights())
+        x = rng.normal(size=(batch, 6, 2))
+        want = reference.infer(x)
+        np.testing.assert_allclose(jitted.infer(x), want, **self.TOLS[dtype])
+        np.testing.assert_allclose(jitted.predict(x, batch_size=batch), want, **self.TOLS[dtype])
 
     @pytest.mark.parametrize("batch", [3, 300])
     def test_dense_parity_serial_and_parallel(self, rng, batch):

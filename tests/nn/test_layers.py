@@ -177,6 +177,18 @@ class TestRepeatVector:
         layer.build((3,), rng)
         with pytest.raises(ValueError, match="batch, features"):
             layer.forward(np.zeros((1, 2, 3)))
+        with pytest.raises(ValueError, match="batch, features"):
+            layer.infer(np.zeros((1, 2, 3)))
+
+    def test_infer_is_a_read_only_broadcast_of_forward(self, rng):
+        layer = RepeatVector(4)
+        layer.build((3,), rng)
+        x = rng.normal(size=(5, 3)).astype(layer.dtype)
+        out = layer.infer(x)
+        np.testing.assert_array_equal(out, layer.forward(x))
+        assert out.strides[1] == 0, "time axis must be broadcast, not copied"
+        assert np.shares_memory(out, x)
+        assert not out.flags.writeable
 
 
 class TestTimeDistributed:
@@ -209,22 +221,42 @@ class TestTimeDistributed:
         layer = TimeDistributed(Dense(2))
         layer.build((5, 3), rng)
         x = rng.normal(size=(4, 5, 3)).astype(layer.dtype)
-        folded = layer._fold(x, "forward")
+        folded = layer._fold(x)
         assert np.shares_memory(folded, x), "contiguous fold must not copy"
-        assert not layer._fold_buffers
 
-    def test_strided_fold_reuses_one_buffer(self, rng):
+    def test_strided_fold_gathers_a_fresh_array(self, rng):
         layer = TimeDistributed(Dense(2))
         layer.build((5, 3), rng)
         x = rng.normal(size=(5, 4, 3)).astype(layer.dtype).transpose(1, 0, 2)
         assert not x.flags["C_CONTIGUOUS"]
-        first = layer._fold(x, "forward")
-        second = layer._fold(x, "forward")
-        assert first is second, "steady-shape strided folds must reuse the buffer"
+        first = layer._fold(x)
+        second = layer._fold(x)
+        assert first.flags["C_CONTIGUOUS"]
+        assert not np.shares_memory(first, second), "a fold must not reuse a buffer"
         np.testing.assert_array_equal(second, x.reshape(20, 3))
-        # The fold is what the forward pass consumes.
         out = layer.forward(x)
         assert out.shape == (4, 5, 2)
+
+    @pytest.mark.parametrize(
+        "inner",
+        [lambda: Dropout(0.2), lambda: Activation("linear")],
+        ids=["dropout", "linear"],
+    )
+    @pytest.mark.parametrize("method", ["forward", "infer"])
+    def test_pass_through_result_survives_the_next_call(self, rng, inner, method):
+        # A pass-through inner layer returns its (folded) input: a result
+        # the caller holds must not be overwritten by the next call.
+        layer = TimeDistributed(inner())
+        layer.build((5, 3), rng)
+        call = getattr(layer, method)
+        strided = [
+            rng.normal(size=(5, 4, 3)).astype(layer.dtype).transpose(1, 0, 2) for _ in range(2)
+        ]
+        held = call(strided[0])
+        kept = held.copy()
+        call(strided[1])
+        np.testing.assert_array_equal(held, kept)
+        np.testing.assert_array_equal(held, strided[0])
 
     def test_strided_forward_matches_contiguous(self, rng):
         layer = TimeDistributed(Dense(2))

@@ -18,13 +18,20 @@ float rounding.
 
 The layer is pinned to the numpy backend: the oracle is the numpy
 reference, and the numba backend is only tolerance-equal to it.
+
+``infer`` also takes its input in every memory layout a model hands it —
+a contiguous batch, an upstream LSTM's gate-major view, RepeatVector's
+stride-0 broadcast, sliced and reversed batches — and whole autoencoders
+match the oracle chained layer by layer.
 """
 
 import numpy as np
 import pytest
 
+from repro.anomaly.autoencoder import AutoencoderConfig, build_autoencoder
+from repro.nn import Sequential
 from repro.nn.activations import sigmoid_inplace
-from repro.nn.layers import LSTM
+from repro.nn.layers import LSTM, Dropout, RepeatVector, TimeDistributed
 
 BATCHES = (1, 2, 3, 7, 64, 300)
 UNITS = (1, 4, 8, 50)
@@ -186,8 +193,10 @@ def _blas_transposes_exactly(layer, batch):
 
     Probes the three products the layer makes — the per-step and the
     all-timesteps input projections, and the recurrent term — with the
-    output written through a transposed view, and the recurrent operand
-    both C- and F-ordered (``forward`` and ``infer`` pass each).
+    output written through a transposed view, and the left operand
+    C-ordered, F-ordered, and C-ordered with a row stride wider than a
+    row (``forward`` and ``infer`` pass each: ``infer`` projects each
+    step from a view of the whole input).
     """
     rng = np.random.default_rng(0)
     kernel, recurrent, _ = _packed(layer)
@@ -198,7 +207,9 @@ def _blas_transposes_exactly(layer, batch):
     ):
         a = rng.normal(size=(rows, weights.shape[0])).astype(layer.dtype)
         want = np.matmul(a, weights)
-        for operand in (a, np.asfortranarray(a)):
+        padded = np.zeros((rows, 3 * a.shape[1]), dtype=layer.dtype)[:, : a.shape[1]]
+        padded[...] = a
+        for operand in (a, np.asfortranarray(a), padded):
             got = np.empty((weights.shape[1], rows), dtype=layer.dtype).T
             np.matmul(operand, weights, out=got)
             if not np.array_equal(got, want):
@@ -243,3 +254,146 @@ class TestGateMajorMatchesRowMajorOracle:
             _assert_same(got_input, want[0], exact)
             for variable, want_grad in zip(layer.variables, want[1:], strict=True):
                 _assert_same(variable.grad, want_grad, exact)
+
+
+# ---------------------------------------------------------------------------
+# Input forms: every memory layout a model hands an LSTM.
+# ---------------------------------------------------------------------------
+
+INPUT_FORMS = ("contiguous", "gate_major", "repeated", "batch_sliced", "batch_reversed")
+
+
+def _input_form(form, batch, features, dtype, rng):
+    """A ``(batch, TIMESTEPS, features)`` input in the layout ``form`` names."""
+    if form == "gate_major":
+        upstream = _layer(features, 2, dtype, return_sequences=True)
+        x = upstream.infer(rng.normal(size=(batch, TIMESTEPS, 2), scale=1.5).astype(dtype))
+        assert x.strides[0] == x.itemsize, "a (B, T, U) view of a (T, U, B) array"
+        return x
+    if form == "repeated":
+        bridge = RepeatVector(TIMESTEPS)
+        bridge.dtype = np.dtype(dtype)
+        bridge.build((features,), rng)
+        x = bridge.infer(rng.normal(size=(batch, features), scale=1.5).astype(dtype))
+        assert x.strides[1] == 0
+        return x
+    x = rng.normal(size=(2 * batch, TIMESTEPS, features), scale=1.5).astype(dtype)
+    if form == "contiguous":
+        return x[:batch]
+    if form == "batch_sliced":
+        return x[::2]
+    assert form == "batch_reversed"
+    return x[:batch][::-1]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("features", FEATURES)
+@pytest.mark.parametrize("units", (4, 50))
+@pytest.mark.parametrize("form", INPUT_FORMS)
+@pytest.mark.parametrize("return_sequences", [False, True])
+def test_infer_matches_oracle_on_every_input_form(return_sequences, form, units, features, dtype):
+    layer = _layer(units, features, dtype, return_sequences)
+    rng = np.random.default_rng(13)
+    for batch in BATCHES:
+        x = _input_form(form, batch, features, dtype, rng)
+        exact = _blas_transposes_exactly(layer, batch)
+        _assert_same(layer.infer(x), oracle_infer(layer, x), exact)
+
+
+def _workspace_buffers(layers):
+    return [
+        buffer
+        for layer in layers
+        if isinstance(layer, LSTM)
+        for ws in layer._infer_workspaces.values()
+        for buffer in ws.values()
+    ]
+
+
+@pytest.mark.parametrize("return_sequences", [False, True])
+def test_infer_result_survives_the_next_call(return_sequences):
+    layer = _layer(4, 3, "float32", return_sequences)
+    rng = np.random.default_rng(17)
+    first, second = (
+        rng.normal(size=(7, TIMESTEPS, 3)).astype("float32") for _ in range(2)
+    )
+    held = layer.infer(first)
+    kept = held.copy()
+    layer.infer(second)
+    np.testing.assert_array_equal(held, kept)
+    assert held.flags.writeable
+    held[...] = 0.0  # the caller owns it
+    assert not any(np.shares_memory(held, b) for b in _workspace_buffers([layer]))
+
+
+# ---------------------------------------------------------------------------
+# Whole models against the oracle chained layer by layer.
+# ---------------------------------------------------------------------------
+
+PROFILES = {
+    "perfbench-8-4-4-8": AutoencoderConfig(
+        sequence_length=12, encoder_units=(8, 4), decoder_units=(4, 8)
+    ),
+    "paper-50-25": AutoencoderConfig(),
+}
+
+
+def oracle_chain(model, x):
+    """Row-major LSTMs, materialised repeats and contiguous folds."""
+    out = x
+    for layer in model.layers:
+        if isinstance(layer, LSTM):
+            out = oracle_infer(layer, out)
+        elif isinstance(layer, RepeatVector):
+            out = np.repeat(out[:, None, :], layer.n, axis=1)
+        elif isinstance(layer, TimeDistributed):
+            batch, timesteps, features = out.shape
+            folded = np.ascontiguousarray(out).reshape(batch * timesteps, features)
+            out = layer.inner.forward(folded).reshape(batch, timesteps, -1)
+        else:
+            assert isinstance(layer, Dropout)
+    return out
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_autoencoder_infer_and_predict_match_oracle_chain(profile):
+    config = PROFILES[profile]
+    model = build_autoencoder(config, seed=3)
+    model.set_backend("numpy")
+    rng = np.random.default_rng(19)
+    for layer in model.layers:  # non-trivial biases, wider gate range
+        for variable in layer.variables:
+            variable.assign(variable.value + rng.normal(size=variable.value.shape, scale=0.3))
+    lstms = [layer for layer in model.layers if isinstance(layer, LSTM)]
+    for batch in (1, 7, 64, 300):
+        x = rng.uniform(size=(batch, config.sequence_length, 1)).astype(model.dtype)
+        want = oracle_chain(model, x)
+        exact = all(_blas_transposes_exactly(layer, batch) for layer in lstms)
+        _assert_same(model.infer(x), want, exact)
+        _assert_same(model.predict(x, batch_size=batch), want, exact)
+
+
+@pytest.mark.parametrize(
+    "layers,input_shape",
+    [
+        (lambda: [LSTM(3), RepeatVector(4)], (5, 2)),
+        (lambda: [RepeatVector(4)], (3,)),
+        (lambda: [LSTM(3, return_sequences=True)], (5, 2)),
+    ],
+    ids=["lstm-repeat", "repeat-only", "sequence-lstm"],
+)
+def test_predict_and_infer_return_fresh_writable_arrays(layers, input_shape):
+    model = Sequential(layers())
+    model.build(input_shape, seed=0)
+    rng = np.random.default_rng(23)
+    first, second = (
+        rng.normal(size=(6,) + input_shape).astype(model.dtype) for _ in range(2)
+    )
+    for run in (model.predict, model.infer):
+        held = run(first)
+        kept = held.copy()
+        run(second)
+        np.testing.assert_array_equal(held, kept)
+        assert held.flags.writeable
+        assert not np.shares_memory(held, first)
+        assert not any(np.shares_memory(held, b) for b in _workspace_buffers(model.layers))
