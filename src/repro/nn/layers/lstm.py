@@ -312,7 +312,8 @@ class LSTM(Layer):
         * each step's input projection reads ``inputs[:, t, :]`` in
           place (a view numpy cannot hand to BLAS, such as a reversed
           batch, is gathered once first, so the product keeps its BLAS
-          bits);
+          bits; a one-feature sequence is laid out time-major once, so
+          each step's elementwise projection reads a contiguous row);
         * a time-invariant input — :class:`RepeatVector`'s broadcast
           view, time stride 0 — is projected once per call;
         * a ``return_sequences`` layer writes each ``h_t`` straight into
@@ -350,6 +351,10 @@ class LSTM(Layer):
             if z_once is None:
                 z_once = ws["z_once"] = np.empty_like(z)
             self._project(inputs[:, 0, :], packed, z_once)
+        elif features == 1 and inputs.strides[0] != inputs.itemsize:
+            # Lay the one-feature sequence out time-major, once: each
+            # step's multiply then reads a contiguous row, not a column.
+            inputs = np.ascontiguousarray(inputs.transpose(1, 0, 2)).transpose(1, 0, 2)
         out = (
             np.empty((timesteps, units, batch), dtype=self.dtype)
             if self.return_sequences
