@@ -337,24 +337,25 @@ class LSTM(Layer):
         units = self.units
         packed = self._refresh_packed()
         ws = self._infer_workspace(batch)
+
+        # Steps read their input in place; two layouts are fixed first, once.
+        invariant = timesteps > 1 and inputs.strides[1] == 0
         if features > 1 and not _steps_blas_ready(inputs):
             # Gather once, not per step, and keep every product on BLAS.
             inputs = np.ascontiguousarray(inputs)
+        elif features == 1 and not invariant and inputs.strides[0] != inputs.itemsize:
+            # Time-major: each step's multiply reads a row, not a column.
+            inputs = np.ascontiguousarray(inputs.transpose(1, 0, 2)).transpose(1, 0, 2)
 
         recurrent = packed["recurrent"]
         z, h, c, tanh_c = ws["z"], ws["h"], ws["c"], ws["tanh_c"]
         h.fill(0.0)
         c.fill(0.0)
-        invariant = timesteps > 1 and inputs.strides[1] == 0
         if invariant:
             z_once = ws.get("z_once")
             if z_once is None:
                 z_once = ws["z_once"] = np.empty_like(z)
             self._project(inputs[:, 0, :], packed, z_once)
-        elif features == 1 and inputs.strides[0] != inputs.itemsize:
-            # Lay the one-feature sequence out time-major, once: each
-            # step's multiply then reads a contiguous row, not a column.
-            inputs = np.ascontiguousarray(inputs.transpose(1, 0, 2)).transpose(1, 0, 2)
         out = (
             np.empty((timesteps, units, batch), dtype=self.dtype)
             if self.return_sequences
