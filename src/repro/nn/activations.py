@@ -114,39 +114,40 @@ class Softplus(Activation):
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid used throughout the LSTM.
+    """Numerically stable logistic sigmoid, returned in a fresh array.
 
     The output dtype matches the input's floating precision (float64 for
-    non-float input, preserving the historical behaviour).
+    non-float input, preserving the historical behaviour).  Computes
+    :func:`sigmoid_inplace` on a copy, so both give the same bits.
     """
     x = np.asarray(x)
     dtype = x.dtype if x.dtype in (np.float32, np.float64) else np.float64
-    out = np.empty_like(x, dtype=dtype)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[~positive])
-    out[~positive] = exp_x / (1.0 + exp_x)
+    out = np.array(x, dtype=dtype)
+    sigmoid_inplace(out, np.empty_like(out))
     return out
 
 
-def sigmoid_inplace(x: np.ndarray, work: np.ndarray, numerator: np.ndarray,
-                    negative: np.ndarray) -> None:
-    """Overwrite ``x`` with ``sigmoid(x)`` using caller-provided scratch.
+def sigmoid_inplace(x: np.ndarray, work: np.ndarray) -> None:
+    """Overwrite ``x`` with ``sigmoid(x)``, using ``work`` as scratch.
 
-    Computes the exact same stabilised expression as :func:`sigmoid` —
-    ``1 / (1 + e^-x)`` for ``x >= 0`` and ``e^x / (1 + e^x)`` otherwise —
-    but with preallocated buffers so the LSTM's fused gate update is
-    allocation-free.  ``work``/``numerator`` must be float buffers of
-    ``x``'s shape and dtype; ``negative`` a bool buffer of the same shape.
+    The stabilised expression ``1 / (1 + e^-x)`` for ``x >= 0`` and
+    ``e^x / (1 + e^x)`` otherwise, i.e. ``numerator / (1 + e^{-|x|})``
+    with numerator ``1`` or ``e^{-|x|}``.  The numerator is chosen
+    without a mask: ``x >= 0`` written into ``x`` is 1.0 or 0.0, and
+    its maximum with ``e^{-|x|}`` (in ``[0, 1]``) is the numerator
+    either way.  Abs, negate, compare and max are exact, and the
+    ``exp``, add and divide take the operands of the two-branch form,
+    so the bits are that form's; NaN stays NaN.  ``work`` must be a
+    float buffer of ``x``'s shape and dtype, and is overwritten; ``x``
+    may be a strided view.
     """
-    np.less(x, 0.0, out=negative)
     np.abs(x, out=work)
     np.negative(work, out=work)
-    np.exp(work, out=work)              # e^{-|x|}, in (0, 1]
-    numerator.fill(1.0)
-    np.copyto(numerator, work, where=negative)
-    np.add(work, 1.0, out=x)            # denominator 1 + e^{-|x|}
-    np.divide(numerator, x, out=x)
+    np.exp(work, out=work)              # e^{-|x|}, in [0, 1]
+    np.greater_equal(x, 0.0, out=x)     # 1.0 where x >= 0, else 0.0
+    np.maximum(work, x, out=x)          # numerator: 1 or e^{-|x|}
+    work += 1.0                         # denominator 1 + e^{-|x|}
+    x /= work
 
 
 _REGISTRY: dict[str, type[Activation]] = {

@@ -108,9 +108,10 @@ class Backend:
         them may be a strided view (the training forward passes
         ``z[:, t]`` of a ``(4U, T, B)`` cache and ``h_out`` as the
         transposed view of a row-major ``(B, U)`` row).  ``ws`` supplies
-        the per-shape scratch: ``hz`` ``(4 * units, batch)``, ``tmp_u``
-        ``(units, batch)`` and ``sig_work``, ``sig_num``, ``sig_neg``
-        ``(3 * units, batch)`` (the last bool).
+        the per-shape scratch: ``hz`` ``(4 * units, batch)``, the
+        recurrent product, and ``tmp_u`` ``(units, batch)``.  ``hz`` is
+        dead once added into ``z``, so a kernel may overwrite it as
+        activation scratch (the numpy kernel's sigmoid does).
         """
         raise NotImplementedError
 
@@ -154,8 +155,9 @@ class NumpyBackend(Backend):
         np.matmul(h_prev.T, recurrent, out=hz.T)
         z += hz
         # One fused sigmoid over the contiguous (i, f, o) rows, one tanh
-        # over g — z now holds the activated gates.
-        sigmoid_inplace(z[: 3 * units], ws["sig_work"], ws["sig_num"], ws["sig_neg"])
+        # over g — z now holds the activated gates.  hz is dead, so its
+        # first 3U rows are the sigmoid's scratch.
+        sigmoid_inplace(z[: 3 * units], hz[: 3 * units])
         g = z[3 * units :]
         np.tanh(g, out=g)
 

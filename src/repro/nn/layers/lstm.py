@@ -27,6 +27,11 @@ activations + state update) is dispatched through the pluggable
 applies a single fused in-place sigmoid over ``z[:3U]`` and one
 in-place tanh over ``z[3U:]``, while the optional ``"numba"`` backend
 compiles the whole elementwise chain into one batch-parallel kernel.
+The sigmoid is exact and selects its numerator without a mask (see
+:func:`~repro.nn.activations.sigmoid_inplace`); its one scratch buffer
+is the recurrent product's ``hz[:3U]``, dead once added into ``z``, so
+an inference workspace holds 12U floats per batch row (``z``, ``hz``,
+``h``, ``c``, ``tanh(c)`` and one ``(U, batch)`` temporary).
 All per-timestep tensors (gate pre-activations, cell states, hidden
 states, matmul outputs) live in per-layer workspaces keyed by
 ``(batch, timesteps)`` and are reused across calls — the hot loops in
@@ -257,10 +262,6 @@ class LSTM(Layer):
                 "dc": np.empty(u_b, dtype=dtype),
                 "dc_next": np.empty(u_b, dtype=dtype),
                 "do": np.empty(u_b, dtype=dtype),
-                # Fused-sigmoid scratch over the (i, f, o) block.
-                "sig_work": np.empty((3 * units, batch), dtype=dtype),
-                "sig_num": np.empty((3 * units, batch), dtype=dtype),
-                "sig_neg": np.empty((3 * units, batch), dtype=bool),
             }
             if len(self._workspaces) >= _MAX_WORKSPACES:
                 self._workspaces.pop(next(iter(self._workspaces)))
@@ -281,9 +282,6 @@ class LSTM(Layer):
                 "c": np.empty((units, batch), dtype=dtype),
                 "tanh_c": np.empty((units, batch), dtype=dtype),
                 "tmp_u": np.empty((units, batch), dtype=dtype),
-                "sig_work": np.empty((3 * units, batch), dtype=dtype),
-                "sig_num": np.empty((3 * units, batch), dtype=dtype),
-                "sig_neg": np.empty((3 * units, batch), dtype=bool),
             }
             if len(self._infer_workspaces) >= _MAX_WORKSPACES:
                 self._infer_workspaces.pop(next(iter(self._infer_workspaces)))

@@ -42,7 +42,6 @@ import numpy as np
 from repro import obs
 from repro.analysis.markers import hot_path
 from repro.anomaly.autoencoder import LSTMAutoencoder
-from repro.data.windowing import sliding_windows
 from repro.stream._state import StateDict, check_keys, nest, scalar, take, unnest
 from repro.stream._ticks import as_column, check_block, check_drop
 from repro.stream.buffers import RingBufferBank
@@ -189,6 +188,10 @@ class StreamingDetector:
         one batched pass and its threshold set to the configured
         percentile of its own scores — the streaming equivalent of the
         paper's per-client 98th-percentile rule.  Returns the thresholds.
+
+        History must be finite: a NaN or inf reading would give its
+        station a NaN threshold, which never flags.  Such history raises
+        ``ValueError`` naming the stations, and no threshold changes.
         """
         fleet = np.asarray(normal_fleet, dtype=np.float64)
         if fleet.ndim != 2 or fleet.shape[0] != self.n_stations:
@@ -197,12 +200,18 @@ class StreamingDetector:
             )
         if fleet.shape[1] < self.sequence_length:
             raise ValueError("normal_fleet is shorter than one window")
+        not_finite = np.flatnonzero(~np.isfinite(fleet).all(axis=1))
+        if not_finite.size:
+            raise ValueError(
+                f"normal_fleet is not finite for stations {not_finite.tolist()}"
+            )
         if self.scaler is not None and scale:
             fleet = self.scaler.transform_fleet(fleet)
         n_windows = fleet.shape[1] - self.sequence_length + 1
-        windows = np.concatenate(
-            [sliding_windows(fleet[j], self.sequence_length) for j in range(self.n_stations)]
-        )
+        # Every station's windows, station by station, in one strided view.
+        windows = np.lib.stride_tricks.sliding_window_view(
+            fleet, self.sequence_length, axis=1
+        ).reshape(-1, self.sequence_length)
         errors = self.autoencoder.window_errors(windows[:, :, None])
         per_station = errors.reshape(self.n_stations, n_windows)
         self.thresholds = np.percentile(per_station, self.percentile, axis=1)

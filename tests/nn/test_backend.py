@@ -401,8 +401,6 @@ class TestNumbaKernelLogicViaStub:
         shapes = {
             "hz": (4 * units, batch),
             "tmp_u": (units, batch),
-            "sig_work": (3 * units, batch),
-            "sig_num": (3 * units, batch),
         }
         recurrent = np.asarray(rng.normal(size=(units, 4 * units)), dtype=dtype)
         z0 = np.asarray(rng.normal(size=(4 * units, batch), scale=2.0), dtype=dtype)
@@ -411,7 +409,6 @@ class TestNumbaKernelLogicViaStub:
         results = []
         for bk in (get_backend("numpy"), stub_backend):
             ws = {name: np.empty(shape, dtype=dtype) for name, shape in shapes.items()}
-            ws["sig_neg"] = np.empty((3 * units, batch), dtype=bool)
             z, h, c = z0.copy(), h0.copy(), c0.copy()
             tanh_c = np.empty((units, batch), dtype=dtype)
             bk.lstm_step(z, h, c, c, h, tanh_c, recurrent, ws)

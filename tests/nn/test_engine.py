@@ -146,6 +146,22 @@ class TestAllocationFreeLSTM:
         assert len(large) == _MAX_LARGE_INFER
         assert _LARGE_INFER_BATCH + 3 in large, "hot (newest) workspace survives"
 
+    @pytest.mark.parametrize("units,batch", [(1, 1), (4, 7), (8, 8000)])
+    def test_infer_workspace_holds_twelve_floats_per_unit_and_row(self, units, batch):
+        """z and hz hold 4U rows each; h, c, tanh_c and tmp_u one U each.
+        The sigmoid borrows hz as scratch, so no mask or extra buffer."""
+        layer = LSTM(units)
+        layer.build((3, 1), np.random.default_rng(0))
+        ws = layer._infer_workspace(batch)
+        assert sum(a.size for a in ws.values()) == 12 * units * batch
+        assert all(a.dtype == layer.dtype for a in ws.values())
+
+    def test_training_workspace_has_no_sigmoid_scratch(self):
+        layer, _ = self._warmed_layer()
+        ws = next(iter(layer._workspaces.values()))
+        assert not [key for key in ws if key.startswith("sig_")]
+        assert all(a.dtype != bool for a in ws.values())
+
     def test_workspace_count_is_bounded_with_lru_eviction(self):
         from repro.nn.layers.lstm import _MAX_WORKSPACES
 

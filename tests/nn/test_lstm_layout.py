@@ -23,14 +23,22 @@ reference, and the numba backend is only tolerance-equal to it.
 a contiguous batch, an upstream LSTM's gate-major view, RepeatVector's
 stride-0 broadcast, sliced and reversed batches — and whole autoencoders
 match the oracle chained layer by layer.
+
+The oracle's sigmoid is a frozen copy of the masked expression the
+layer used to run, independent of :mod:`repro.nn.activations`; property
+tests hold the layer's ``sigmoid_inplace`` and ``sigmoid`` to it bit for
+bit on every float edge.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.anomaly.autoencoder import AutoencoderConfig, build_autoencoder
 from repro.nn import Sequential
-from repro.nn.activations import sigmoid_inplace
+from repro.nn.activations import sigmoid, sigmoid_inplace
 from repro.nn.layers import LSTM, Dropout, RepeatVector, TimeDistributed
 
 BATCHES = (1, 2, 3, 7, 64, 300)
@@ -54,14 +62,26 @@ def _packed(layer):
     )
 
 
+def _masked_sigmoid_inplace(x):
+    """Frozen stabilised sigmoid: a mask picks the numerator per sign."""
+    work = np.empty(x.shape, dtype=x.dtype)
+    numerator = np.empty(x.shape, dtype=x.dtype)
+    negative = np.empty(x.shape, dtype=bool)
+    np.less(x, 0.0, out=negative)
+    np.abs(x, out=work)
+    np.negative(work, out=work)
+    np.exp(work, out=work)              # e^{-|x|}, in (0, 1]
+    numerator.fill(1.0)
+    np.copyto(numerator, work, where=negative)
+    np.add(work, 1.0, out=x)            # denominator 1 + e^{-|x|}
+    np.divide(numerator, x, out=x)
+
+
 def _row_major_step(z, h_prev, c_prev, recurrent, units):
     """One step on a (batch, 4U) gate buffer; returns (c, h, tanh_c)."""
     hz = np.matmul(h_prev, recurrent)
     z += hz
-    sig = z[:, : 3 * units]
-    sigmoid_inplace(
-        sig, np.empty_like(sig), np.empty_like(sig), np.empty(sig.shape, dtype=bool)
-    )
+    _masked_sigmoid_inplace(z[:, : 3 * units])
     g = z[:, 3 * units :]
     np.tanh(g, out=g)
     i, f, o = z[:, :units], z[:, units : 2 * units], z[:, 2 * units : 3 * units]
@@ -397,3 +417,99 @@ def test_predict_and_infer_return_fresh_writable_arrays(layers, input_shape):
         assert held.flags.writeable
         assert not np.shares_memory(held, first)
         assert not any(np.shares_memory(held, b) for b in _workspace_buffers(model.layers))
+
+
+# ---------------------------------------------------------------------------
+# Sigmoid: the layer's expression against the frozen masked one, bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _indexed_sigmoid(x):
+    """Frozen allocating sigmoid: boolean indexing picks each sign's form."""
+    x = np.asarray(x)
+    dtype = x.dtype if x.dtype in (np.float32, np.float64) else np.float64
+    out = np.empty_like(x, dtype=dtype)
+    positive = x >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+    exp_x = np.exp(x[~positive])
+    out[~positive] = exp_x / (1.0 + exp_x)
+    return out
+
+
+def _edge_floats(dtype):
+    """Any float of ``dtype``, weighted to ±0, ±inf, NaN, subnormals and
+    the range where ``exp(-|x|)`` underflows through the subnormals."""
+    info = np.finfo(dtype)
+    width = info.bits
+    lo, hi = (87.0, 104.0) if width == 32 else (708.0, 746.0)
+    edges = [
+        float(v)
+        for m in (info.smallest_subnormal, info.tiny, info.max, 1.0)
+        for v in (m, -m)
+    ]
+    return st.one_of(
+        st.sampled_from(edges + [0.0, -0.0, np.inf, -np.inf, np.nan]),
+        st.floats(width=width),
+        st.floats(min_value=lo, max_value=hi, width=width).flatmap(
+            lambda v: st.sampled_from([v, -v])
+        ),
+        st.floats(min_value=-20.0, max_value=20.0, width=width),
+    )
+
+
+def _assert_same_bits(got, want):
+    """Equal dtype, shape and bytes; NaN compared by position, not payload."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+FLOAT_DTYPES = st.sampled_from([np.float32, np.float64])
+SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dtype=FLOAT_DTYPES)
+def test_sigmoid_inplace_matches_frozen_masked_expression(data, dtype):
+    x = data.draw(hnp.arrays(dtype, SHAPES, elements=_edge_floats(dtype)))
+    want = x.copy()
+    _masked_sigmoid_inplace(want)
+    got = x.copy()
+    sigmoid_inplace(got, np.empty_like(got))
+    _assert_same_bits(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    dtype=FLOAT_DTYPES,
+    units=st.integers(1, 8),
+    timesteps=st.integers(1, 4),
+    batch=st.integers(1, 24),
+)
+def test_sigmoid_inplace_on_a_training_gate_row(data, dtype, units, timesteps, batch):
+    """The training forward activates z[:3U, t] of a (4U, T, B) cache in
+    place, with the recurrent product's rows as scratch; nothing outside
+    that strided row block moves."""
+    z = data.draw(hnp.arrays(dtype, (4 * units, timesteps, batch), elements=_edge_floats(dtype)))
+    t = data.draw(st.integers(0, timesteps - 1))
+    want = z.copy()
+    _masked_sigmoid_inplace(want[: 3 * units, t])
+    got = z.copy()
+    hz = np.empty((4 * units, batch), dtype=dtype)
+    sigmoid_inplace(got[: 3 * units, t], hz[: 3 * units])
+    _assert_same_bits(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64, np.int32, np.int64]))
+def test_sigmoid_matches_frozen_indexed_sigmoid(data, dtype):
+    """Same bits and dtype (float64 for integer input), 0-d included; the
+    input is left as it was."""
+    elements = _edge_floats(dtype) if np.dtype(dtype).kind == "f" else None
+    x = data.draw(hnp.arrays(dtype, SHAPES, elements=elements))
+    kept = x.copy()
+    got = sigmoid(x)
+    _assert_same_bits(got, _indexed_sigmoid(x))
+    np.testing.assert_array_equal(x, kept)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.anomaly.detector import ReconstructionAnomalyDetector
+from repro.data.windowing import sliding_windows
 from repro.stream.detector import StreamingDetector
 from repro.stream.engine import synthesize_fleet
 from repro.stream.scaler import StreamingMinMaxScaler
@@ -82,6 +83,36 @@ class TestCalibrate:
         ]
         np.testing.assert_allclose(thresholds, expected, rtol=1e-6, atol=0)
         np.testing.assert_array_equal(detector.thresholds, thresholds)
+
+    def test_thresholds_equal_per_station_window_construction(
+        self, small_autoencoder, fleet
+    ):
+        """One strided view over the fleet yields each station's windows in
+        order, so the thresholds are those of scoring the stations'
+        separately built windows, bit for bit."""
+        detector = _detector(small_autoencoder, fleet)
+        thresholds = detector.calibrate(fleet)
+        scaled = detector.scaler.transform_fleet(fleet)
+        windows = np.concatenate(
+            [sliding_windows(row, detector.sequence_length) for row in scaled]
+        )
+        errors = small_autoencoder.window_errors(windows[:, :, None])
+        expected = np.percentile(errors.reshape(N_STATIONS, -1), 98.0, axis=1)
+        np.testing.assert_array_equal(thresholds, expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_history_is_rejected_naming_its_stations(
+        self, small_autoencoder, fleet, bad
+    ):
+        """A NaN threshold never flags, so history that would give one is
+        refused whole: the error names the stations, thresholds stay."""
+        history = fleet.copy()
+        history[1, 17] = bad
+        history[2, 0] = bad
+        detector = _detector(small_autoencoder, fleet, threshold=0.5)
+        with pytest.raises(ValueError, match=r"stations \[1, 2\]"):
+            detector.calibrate(history)
+        np.testing.assert_array_equal(detector.thresholds, np.full(N_STATIONS, 0.5))
 
     def test_raw_history_is_scaled_through_the_scaler(self, small_autoencoder, fleet):
         raw = _detector(small_autoencoder, fleet)
