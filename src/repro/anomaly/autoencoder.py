@@ -136,12 +136,12 @@ class LSTMAutoencoder:
         )
         return self.history
 
-    #: Scoring chunk size: the ``infer`` path keeps only O(batch) running
-    #: state (no per-timestep training caches), so chunks can be far
-    #: larger than ``predict``'s cache-pressure default of 256 — but the
-    #: per-layer sequence outputs still scale with the chunk, so an
-    #: offline calibration pass over a million windows must not run as
-    #: one allocation.
+    #: Scoring chunk size.  ``LSTM.infer`` runs wide batches in column
+    #: tiles with a fixed-size workspace, so the chunk bounds only what
+    #: scales with it: the per-layer sequence outputs and the
+    #: ``TimeDistributed`` gather of the last one — an offline
+    #: calibration pass over a million windows must not run as one
+    #: allocation.
     _SCORING_BATCH = 32768
 
     def reconstruct(self, windows: np.ndarray) -> np.ndarray:

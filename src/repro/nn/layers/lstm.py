@@ -32,12 +32,17 @@ The sigmoid is exact and selects its numerator without a mask (see
 is the recurrent product's ``hz[:3U]``, dead once added into ``z``, so
 an inference workspace holds 12U floats per batch row (``z``, ``hz``,
 ``h``, ``c``, ``tanh(c)`` and one ``(U, batch)`` temporary).
-All per-timestep tensors (gate pre-activations, cell states, hidden
-states, matmul outputs) live in per-layer workspaces keyed by
-``(batch, timesteps)`` and are reused across calls — the hot loops in
-both ``forward`` and the BPTT backward allocate nothing.  Backends
-accelerate the forward direction only; BPTT always runs the numpy path
-against the (backend-written) activated-gate caches.
+Inference runs a batch of 2 * ``_TILE`` windows or more in column tiles
+of ``_TILE`` to 2 * ``_TILE`` - 1 windows, each with its own workspace,
+so an inference workspace is bounded by the tile, not by how many
+windows one call scores (about one L2 at U = 8); a narrower batch is
+one tile.  All per-timestep tensors (gate pre-activations, cell states,
+hidden states, matmul outputs) live in per-layer workspaces — keyed by
+``(batch, timesteps)`` for training, by tile width for inference — and
+are reused across calls: the hot loops in both ``forward`` and the BPTT
+backward allocate nothing.  Backends accelerate the forward direction
+only; BPTT always runs the numpy path against the (backend-written)
+activated-gate caches.
 
 The packed kernels and their transposes are cached and refreshed only
 when a weight's :attr:`~repro.nn.layers.base.Variable.version` changes
@@ -70,10 +75,11 @@ its per-step ``(4U, B)`` view.  The training forward caches gates as
 
 Inference keeps sequences gate-major *between* layers as well.  A
 ``return_sequences`` layer's ``infer`` writes each ``h_t`` into row ``t``
-of a fresh ``(T, U, B)`` array and returns the ``(B, T, U)`` transposed
-view; the next LSTM projects that view's ``inputs[:, t, :]`` — an
-F-ordered ``(B, U)`` BLAS operand — in place, so no step copies its
-input or scatters its output.  Only a consumer that needs rows
+of a fresh ``(T, U, B)`` array (a tile into its columns of that row)
+and returns the ``(B, T, U)`` transposed view; the next LSTM projects
+that view's ``inputs[:, t, :]`` — an F-ordered ``(B, U)`` BLAS
+operand — in place, so no step copies its input or scatters its
+output.  Only a consumer that needs rows
 (``TimeDistributed``'s fold, a ``Dense`` on a sequence) gathers the view,
 once per call.
 
@@ -95,12 +101,14 @@ from repro.nn.layers.base import Layer
 #: schedules) cannot push out the hot steady-state shape.
 _MAX_WORKSPACES = 16
 
-#: Inference workspaces above this batch size are tens of MB each, so at
-#: most _MAX_LARGE_INFER of them stay cached: a steady large-block loop
-#: keeps reusing its workspace, but a one-off calibration pass over a
-#: huge window set cannot pin several giant buffers for process lifetime.
-_LARGE_INFER_BATCH = 8192
-_MAX_LARGE_INFER = 2
+#: Inference column tile.  A batch of up to 2 * _TILE - 1 windows runs as
+#: one tile; a wider one runs the step loop once per column range
+#: ``[k * _TILE, (k + 1) * _TILE)``, the last range taking the remainder,
+#: so every tile starts at a multiple of _TILE and is _TILE to
+#: 2 * _TILE - 1 windows wide.  A tile's workspace is 12U floats per
+#: window — 1.5 to 3 MB at U = 8 in float32, about one L2 — however many
+#: windows one call scores; a 32,768-window workspace was 12.6 MB.
+_TILE = 4096
 
 
 def _steps_blas_ready(inputs: np.ndarray) -> bool:
@@ -286,9 +294,6 @@ class LSTM(Layer):
             if len(self._infer_workspaces) >= _MAX_WORKSPACES:
                 self._infer_workspaces.pop(next(iter(self._infer_workspaces)))
             self._infer_workspaces[batch] = ws
-            large = [b for b in self._infer_workspaces if b > _LARGE_INFER_BATCH]
-            while len(large) > _MAX_LARGE_INFER:
-                self._infer_workspaces.pop(large.pop(0))  # oldest large first
         return ws
 
     def infer(self, inputs: np.ndarray, backend: object | None = None) -> np.ndarray:
@@ -296,14 +301,17 @@ class LSTM(Layer):
 
         Same gate math as :meth:`forward` (same fused kernels via the
         same backend) but keeps only the running ``h``/``c`` state
-        instead of per-timestep BPTT caches, so the working set is
-        O(batch) and stays cache-resident no matter how many windows one
-        call scores.  That is what lets block-mode streaming push
-        ``B × n_stations`` windows through in ONE call: per-ufunc
-        dispatch amortises over the whole block while memory traffic
-        stays flat.  The state and gates are gate-major — ``z`` is
-        ``(4U, batch)``, ``h``/``c`` are ``(U, batch)`` — so every
-        elementwise pass is contiguous.
+        instead of per-timestep BPTT caches: a workspace of 12U floats
+        per window.  A batch of up to 2 * ``_TILE`` - 1 windows runs as
+        one tile — the whole block-mode streaming step, so per-ufunc
+        dispatch amortises over ``B × n_stations`` windows in ONE call.
+        A wider batch (a calibration pass) runs the step loop once per
+        column range ``[k * _TILE, (k + 1) * _TILE)``, the last taking
+        the remainder, so its working set stays at one tile's workspace
+        — L2-resident for small U — instead of growing with the batch.
+        The state and gates are gate-major — ``z`` is ``(4U, width)``,
+        ``h``/``c`` are ``(U, width)`` — so every elementwise pass is
+        contiguous.
 
         Inference moves no bytes it does not compute on:
 
@@ -313,11 +321,11 @@ class LSTM(Layer):
           bits; a one-feature sequence is laid out time-major once, so
           each step's elementwise projection reads a contiguous row);
         * a time-invariant input — :class:`RepeatVector`'s broadcast
-          view, time stride 0 — is projected once per call;
+          view, time stride 0 — is projected once per tile, not per step;
         * a ``return_sequences`` layer writes each ``h_t`` straight into
-          a fresh gate-major ``(T, U, batch)`` array and returns its
-          ``(batch, T, U)`` transposed *view*, which the next LSTM reads
-          without a copy.
+          its tile's columns of a fresh gate-major ``(T, U, batch)``
+          array and returns its ``(batch, T, U)`` transposed *view*,
+          which the next LSTM reads without a copy.
 
         The result is always writable and freshly allocated (never a
         workspace).  ``backward`` after ``infer`` is undefined.
@@ -332,9 +340,7 @@ class LSTM(Layer):
             )
         bk = backend if backend is not None else backends.resolve_backend(self.backend)
         batch, timesteps, features = inputs.shape
-        units = self.units
         packed = self._refresh_packed()
-        ws = self._infer_workspace(batch)
 
         # Steps read their input in place; two layouts are fixed first, once.
         invariant = timesteps > 1 and inputs.strides[1] == 0
@@ -345,6 +351,34 @@ class LSTM(Layer):
             # Time-major: each step's multiply reads a row, not a column.
             inputs = np.ascontiguousarray(inputs.transpose(1, 0, 2)).transpose(1, 0, 2)
 
+        if self.return_sequences:
+            out = np.empty((timesteps, self.units, batch), dtype=self.dtype)
+        else:
+            out = np.empty((batch, self.units), dtype=self.dtype)
+        n_tiles = max(batch // _TILE, 1)
+        for k in range(n_tiles):
+            start = k * _TILE
+            stop = batch if k == n_tiles - 1 else start + _TILE
+            tile_out = out[:, :, start:stop] if self.return_sequences else out[start:stop]
+            self._infer_tile(inputs[start:stop], invariant, packed, bk, tile_out)
+        return out.transpose(2, 0, 1) if self.return_sequences else out
+
+    def _infer_tile(
+        self,
+        inputs: np.ndarray,
+        invariant: bool,
+        packed: dict[str, np.ndarray],
+        bk: object,
+        out: np.ndarray,
+    ) -> None:
+        """Run :meth:`infer`'s step loop over one column tile of the batch.
+
+        ``out`` is the tile's slice of the call's result: ``(T, U, width)``
+        for a sequence layer, which each step writes ``h_t`` into, or
+        ``(width, U)`` for a final-state layer, written once at the end.
+        """
+        width, timesteps, _ = inputs.shape
+        ws = self._infer_workspace(width)
         recurrent = packed["recurrent"]
         z, h, c, tanh_c = ws["z"], ws["h"], ws["c"], ws["tanh_c"]
         h.fill(0.0)
@@ -354,11 +388,6 @@ class LSTM(Layer):
             if z_once is None:
                 z_once = ws["z_once"] = np.empty_like(z)
             self._project(inputs[:, 0, :], packed, z_once)
-        out = (
-            np.empty((timesteps, units, batch), dtype=self.dtype)
-            if self.return_sequences
-            else None
-        )
 
         for t in range(timesteps):
             if invariant:
@@ -368,13 +397,12 @@ class LSTM(Layer):
             # Fused step: recurrent matmul + gate activations + state
             # update, one backend kernel.  A sequence layer writes h_t
             # into out[t] and reads h_{t-1} from out[t - 1].
-            h_out = h if out is None else out[t]
+            h_out = out[t] if self.return_sequences else h
             bk.lstm_step(z, h, c, c, h_out, tanh_c, recurrent, ws)
             h = h_out
 
-        if out is not None:
-            return out.transpose(2, 0, 1)
-        return h.T.copy()
+        if not self.return_sequences:
+            out[...] = h.T
 
     @staticmethod
     def _project(x: np.ndarray, packed: dict[str, np.ndarray], z: np.ndarray) -> None:

@@ -23,6 +23,8 @@ from repro.nn.backend import (
     resolve_backend,
     set_default_backend,
 )
+from repro.nn.layers.lstm import _TILE
+from repro.nn.policy import dtype_policy
 from repro.nn.serialization import model_to_config
 
 HAVE_NUMBA = "numba" in available_backends()
@@ -232,6 +234,60 @@ class TestNumpyKernelParity:
         layer.build((6, 2), np.random.default_rng(2))
         x = np.asarray(rng.normal(size=(4, 6, 2)), dtype=layer.dtype)
         np.testing.assert_array_equal(layer.infer(x), layer.forward(x))
+
+    @pytest.mark.parametrize("units", [4, 8])
+    @pytest.mark.parametrize("return_sequences", [True, False])
+    @pytest.mark.parametrize(
+        "form", ["one_feature", "repeat_vector", "gate_major", "batch_reversed"]
+    )
+    def test_lstm_infer_matches_forward_across_tile_boundaries(
+        self, rng, form, return_sequences, units
+    ):
+        """``infer`` runs wide batches in column tiles of ``_TILE`` windows;
+        every input layout must keep float32 ``infer ≡ forward`` across a
+        tile edge.  That holds only where a row's bits do not depend on
+        the batch around it, which OpenBLAS's AVX2 kernels break at 8
+        units: there the test skips."""
+        timesteps = 5
+        widest = 3 * _TILE + 37
+        with dtype_policy("float32"):
+            if form == "one_feature":
+                x = rng.normal(size=(widest, timesteps, 1)).astype(np.float32)
+                features, view = 1, lambda b: x[:b]
+            elif form == "repeat_vector":
+                v = rng.normal(size=(widest, 3)).astype(np.float32)
+                repeat = RepeatVector(timesteps)
+                features, view = 3, lambda b: repeat.infer(v[:b])
+            elif form == "gate_major":
+                x = rng.normal(size=(widest, timesteps, 2)).astype(np.float32)
+                previous = LSTM(3, return_sequences=True)
+                previous.build((timesteps, 2), np.random.default_rng(4))
+                features, view = 3, lambda b: previous.infer(x[:b])
+            else:
+                x = rng.normal(size=(widest, timesteps, 3)).astype(np.float32)
+                features, view = 3, lambda b: x[:b][::-1]
+            layer = LSTM(units, return_sequences=return_sequences)
+            layer.build((timesteps, features), np.random.default_rng(2))
+
+        # The kernel keeps a row's bits: infer ≡ forward within one tile,
+        # and a forward over two tiles' rows equals those of its halves.
+        below = view(37)
+        split = rng.normal(size=(2 * _TILE, timesteps, features)).astype(np.float32)
+        halves = np.concatenate([layer.forward(split[:_TILE]), layer.forward(split[_TILE:])])
+        if not (
+            np.array_equal(layer.infer(below), layer.forward(below))
+            and np.array_equal(layer.forward(split), halves)
+        ):
+            pytest.skip(
+                "row bits depend on the batch on this BLAS kernel (ROADMAP item 14)"
+            )
+        for batch in (
+            _TILE - 1, _TILE, _TILE + 1, 2 * _TILE - 1, 2 * _TILE, 2 * _TILE + 1, widest
+        ):
+            inputs = view(batch)
+            np.testing.assert_array_equal(
+                layer.infer(inputs), layer.forward(inputs), err_msg=f"batch {batch}"
+            )
 
     def test_window_errors_match_plain_expression(self, rng):
         windows = rng.normal(size=(7, 6, 2))

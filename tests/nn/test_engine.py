@@ -134,17 +134,20 @@ class TestAllocationFreeLSTM:
         # worth of slack from the allocator.
         assert current - baseline < 2 * out_bytes
 
-    def test_large_infer_workspaces_are_capped(self):
-        from repro.nn.layers.lstm import _LARGE_INFER_BATCH, _MAX_LARGE_INFER
+    def test_wide_infer_batches_cache_only_tile_width_workspaces(self):
+        """A batch of 2 * _TILE windows or more runs in column tiles, so no
+        cached workspace is as wide as the batch."""
+        from repro.nn.layers.lstm import _TILE
 
-        layer = LSTM(2)
+        units = 2
+        layer = LSTM(units, return_sequences=True)
         layer.build((4, 1), np.random.default_rng(0))
-        for extra in (1, 2, 3):
-            batch = _LARGE_INFER_BATCH + extra
+        for batch in (3 * _TILE + 5, 2 * _TILE + 1):
             layer.infer(np.zeros((batch, 4, 1), dtype=layer.dtype))
-        large = [b for b in layer._infer_workspaces if b > _LARGE_INFER_BATCH]
-        assert len(large) == _MAX_LARGE_INFER
-        assert _LARGE_INFER_BATCH + 3 in large, "hot (newest) workspace survives"
+        assert layer._infer_workspaces
+        for width, ws in layer._infer_workspaces.items():
+            assert width < 2 * _TILE
+            assert sum(a.size for a in ws.values()) == 12 * units * width
 
     @pytest.mark.parametrize("units,batch", [(1, 1), (4, 7), (8, 8000)])
     def test_infer_workspace_holds_twelve_floats_per_unit_and_row(self, units, batch):
