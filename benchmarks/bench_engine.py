@@ -19,6 +19,7 @@ reproduction runs on:
   committed floor (the ISSUE-5 2x acceptance bar, -30% slack in CI).
 
 Results are written as JSON (``--output``, default ``BENCH_engine.json``)
+with a ``legs`` record of what ran (backends, numba version, BLAS, cores)
 and printed as a table.  ``--check BASELINE.json`` exits non-zero when
 any speedup regresses more than ``--check-slack`` (default 30%) below the
 committed baseline — machine-independent because speedups are ratios of
@@ -44,6 +45,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from _gate import check_regression  # noqa: E402
+from _legs import legs  # noqa: E402
 
 from repro.anomaly.autoencoder import (  # noqa: E402
     AutoencoderConfig,
@@ -498,6 +500,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[bench_engine] running {name} ({results['profile']}) ...", flush=True)
         results["workloads"][name] = fn(args.smoke)
 
+    # Every workload but forward_kernels runs on the resolved default.
+    results["legs"] = legs(
+        [backend_registry.resolve_backend(None).name,
+         *results["workloads"]["forward_kernels"]["backends"]]
+    )
     fc = results["workloads"]["forecaster_fit"]
     results["headline"] = {
         "workload": "forecaster_fit",

@@ -37,7 +37,8 @@ Three profiles, one JSON:
   registry is exported next to the results JSON as a Prometheus text
   file + JSONL snapshot (uploaded as the ``BENCH_obs`` CI artifact).
 
-Results are written as JSON (``--output``) and ``--check BASELINE.json``
+Results are written as JSON (``--output``), with a ``legs`` record of
+what ran (backend, numba version, BLAS, cores), and ``--check BASELINE.json``
 exits non-zero when any ``speedup_*`` metric regresses more than
 ``--check-slack`` (default 30%) below the committed same-profile
 baseline — machine-independent because speedups are ratios of times
@@ -62,8 +63,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from _gate import check_regression  # noqa: E402
+from _legs import legs  # noqa: E402
 
 from repro.anomaly.autoencoder import AutoencoderConfig, LSTMAutoencoder  # noqa: E402
+from repro.nn import backend as backend_registry  # noqa: E402
 from repro.stream.buffers import RingBufferBank  # noqa: E402
 from repro.stream.detector import StreamingDetector  # noqa: E402
 from repro.stream.engine import StreamReplayEngine, synthesize_fleet  # noqa: E402
@@ -655,6 +658,7 @@ def main(argv: list[str] | None = None) -> int:
             f"speedup {slo['speedup_batch_vs_per_reading']:.2f}x"
         )
 
+    results["legs"] = legs([backend_registry.resolve_backend(None).name])
     args.output.write_text(json.dumps(results, indent=2) + "\n")
     print(f"[bench_streaming] wrote {args.output}")
 

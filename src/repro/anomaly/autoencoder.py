@@ -141,7 +141,10 @@ class LSTMAutoencoder:
     #: scales with it: the per-layer sequence outputs and the
     #: ``TimeDistributed`` gather of the last one — an offline
     #: calibration pass over a million windows must not run as one
-    #: allocation.
+    #: allocation.  Those tile workspaces stay in each layer's LRU
+    #: unless the caller scores inside ``model.transient_workspaces()``,
+    #: as ``StreamingDetector.calibrate`` does, where they live for one
+    #: chunk.
     _SCORING_BATCH = 32768
 
     def reconstruct(self, windows: np.ndarray) -> np.ndarray:

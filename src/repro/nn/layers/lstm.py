@@ -31,7 +31,9 @@ The sigmoid is exact and selects its numerator without a mask (see
 :func:`~repro.nn.activations.sigmoid_inplace`); its one scratch buffer
 is the recurrent product's ``hz[:3U]``, dead once added into ``z``, so
 an inference workspace holds 12U floats per batch row (``z``, ``hz``,
-``h``, ``c``, ``tanh(c)`` and one ``(U, batch)`` temporary).
+``h``, ``c``, ``tanh(c)`` and one ``(U, batch)`` temporary), 16U for a
+layer fed by :class:`RepeatVector`, which also keeps the once-projected
+input ``z_once``.
 Inference runs a batch of 2 * ``_TILE`` windows or more in column tiles
 of ``_TILE`` to 2 * ``_TILE`` - 1 windows, each with its own workspace,
 so an inference workspace is bounded by the tile, not by how many
@@ -40,9 +42,12 @@ one tile.  All per-timestep tensors (gate pre-activations, cell states,
 hidden states, matmul outputs) live in per-layer workspaces — keyed by
 ``(batch, timesteps)`` for training, by tile width for inference — and
 are reused across calls: the hot loops in both ``forward`` and the BPTT
-backward allocate nothing.  Backends accelerate the forward direction
-only; BPTT always runs the numpy path against the (backend-written)
-activated-gate caches.
+backward allocate nothing.  A one-off pass (a threshold calibration)
+runs inside :meth:`~repro.nn.model.Sequential.transient_workspaces`:
+its inference workspaces are local to each ``infer`` call and freed
+when it returns, so the layer keeps only the widths the hot steps
+reuse.  Backends accelerate the forward direction only; BPTT always
+runs the numpy path against the (backend-written) activated-gate caches.
 
 The packed kernels and their transposes are cached and refreshed only
 when a weight's :attr:`~repro.nn.layers.base.Variable.version` changes
@@ -90,6 +95,9 @@ the federated runtime does).
 
 from __future__ import annotations
 
+import contextlib
+from collections.abc import Iterator
+
 import numpy as np
 
 from repro.nn import initializers
@@ -106,8 +114,11 @@ _MAX_WORKSPACES = 16
 #: ``[k * _TILE, (k + 1) * _TILE)``, the last range taking the remainder,
 #: so every tile starts at a multiple of _TILE and is _TILE to
 #: 2 * _TILE - 1 windows wide.  A tile's workspace is 12U floats per
-#: window — 1.5 to 3 MB at U = 8 in float32, about one L2 — however many
-#: windows one call scores; a 32,768-window workspace was 12.6 MB.
+#: window (16U behind a RepeatVector) — 1.5 to 3 MB at U = 8 in float32,
+#: about one L2 — however many windows one call scores; a 32,768-window
+#: workspace was 12.6 MB.  The tiles of one call share a workspace per
+#: width; inside ``Sequential.transient_workspaces`` it is freed when the
+#: call returns instead of staying in the layer's LRU.
 _TILE = 4096
 
 
@@ -170,6 +181,7 @@ class LSTM(Layer):
         self._cache: dict[str, object] = {}
         self._workspaces: dict[tuple[int, int], dict[str, np.ndarray]] = {}
         self._infer_workspaces: dict[int, dict[str, np.ndarray]] = {}
+        self._transient = False  # see transient_workspaces()
         self._packed: dict[str, np.ndarray] = {}
         self._packed_versions: tuple[int, int, int] | None = None
         self._perm: np.ndarray | None = None
@@ -276,10 +288,28 @@ class LSTM(Layer):
             self._workspaces[key] = ws
         return ws
 
-    def _infer_workspace(self, batch: int) -> dict[str, np.ndarray]:
-        ws = self._infer_workspaces.pop(batch, None)
+    @contextlib.contextmanager
+    def transient_workspaces(self) -> Iterator[None]:
+        """Take :meth:`infer`'s workspaces from a dict local to each call.
+
+        For a one-off pass: its widths are never inserted into, or
+        reordered in, the layer's workspace LRU, and its buffers are
+        freed when each call returns.  The previous mode is restored on
+        exit, also when the body raises, so scopes nest.
+        """
+        previous = self._transient
+        self._transient = True
+        try:
+            yield
+        finally:
+            self._transient = previous
+
+    def _infer_workspace(
+        self, batch: int, cache: dict[int, dict[str, np.ndarray]]
+    ) -> dict[str, np.ndarray]:
+        ws = cache.pop(batch, None)
         if ws is not None:
-            self._infer_workspaces[batch] = ws  # re-insert: dict order is LRU order
+            cache[batch] = ws  # re-insert: dict order is LRU order
         else:
             units = self.units
             dtype = self.dtype
@@ -291,9 +321,9 @@ class LSTM(Layer):
                 "tanh_c": np.empty((units, batch), dtype=dtype),
                 "tmp_u": np.empty((units, batch), dtype=dtype),
             }
-            if len(self._infer_workspaces) >= _MAX_WORKSPACES:
-                self._infer_workspaces.pop(next(iter(self._infer_workspaces)))
-            self._infer_workspaces[batch] = ws
+            if len(cache) >= _MAX_WORKSPACES:
+                cache.pop(next(iter(cache)))
+            cache[batch] = ws
         return ws
 
     def infer(self, inputs: np.ndarray, backend: object | None = None) -> np.ndarray:
@@ -302,7 +332,10 @@ class LSTM(Layer):
         Same gate math as :meth:`forward` (same fused kernels via the
         same backend) but keeps only the running ``h``/``c`` state
         instead of per-timestep BPTT caches: a workspace of 12U floats
-        per window.  A batch of up to 2 * ``_TILE`` - 1 windows runs as
+        per window (16U for a time-invariant input), kept in the layer's
+        width-keyed LRU for the next call of that width — or, inside
+        :meth:`transient_workspaces`, in a dict local to this call.
+        A batch of up to 2 * ``_TILE`` - 1 windows runs as
         one tile — the whole block-mode streaming step, so per-ufunc
         dispatch amortises over ``B × n_stations`` windows in ONE call.
         A wider batch (a calibration pass) runs the step loop once per
@@ -341,6 +374,7 @@ class LSTM(Layer):
         bk = backend if backend is not None else backends.resolve_backend(self.backend)
         batch, timesteps, features = inputs.shape
         packed = self._refresh_packed()
+        cache = {} if self._transient else self._infer_workspaces
 
         # Steps read their input in place; two layouts are fixed first, once.
         invariant = timesteps > 1 and inputs.strides[1] == 0
@@ -360,7 +394,7 @@ class LSTM(Layer):
             start = k * _TILE
             stop = batch if k == n_tiles - 1 else start + _TILE
             tile_out = out[:, :, start:stop] if self.return_sequences else out[start:stop]
-            self._infer_tile(inputs[start:stop], invariant, packed, bk, tile_out)
+            self._infer_tile(inputs[start:stop], invariant, packed, bk, tile_out, cache)
         return out.transpose(2, 0, 1) if self.return_sequences else out
 
     def _infer_tile(
@@ -370,15 +404,18 @@ class LSTM(Layer):
         packed: dict[str, np.ndarray],
         bk: object,
         out: np.ndarray,
+        cache: dict[int, dict[str, np.ndarray]],
     ) -> None:
         """Run :meth:`infer`'s step loop over one column tile of the batch.
 
         ``out`` is the tile's slice of the call's result: ``(T, U, width)``
         for a sequence layer, which each step writes ``h_t`` into, or
         ``(width, U)`` for a final-state layer, written once at the end.
+        ``cache`` holds the workspaces by width; tiles of equal width
+        share one, so the state is zeroed per tile.
         """
         width, timesteps, _ = inputs.shape
-        ws = self._infer_workspace(width)
+        ws = self._infer_workspace(width, cache)
         recurrent = packed["recurrent"]
         z, h, c, tanh_c = ws["z"], ws["h"], ws["c"], ws["tanh_c"]
         h.fill(0.0)

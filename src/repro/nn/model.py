@@ -26,6 +26,9 @@ dataset copies or per-chunk concatenations.
 
 from __future__ import annotations
 
+import contextlib
+from collections.abc import Iterator
+
 import numpy as np
 
 from repro import obs
@@ -35,6 +38,8 @@ from repro.nn import optimizers as optimizers_module
 from repro.nn import policy
 from repro.nn.callbacks import Callback, History
 from repro.nn.layers.base import Layer, Variable
+from repro.nn.layers.lstm import LSTM
+from repro.nn.layers.time_distributed import TimeDistributed
 from repro.utils.rng import SeedLike, as_generator
 
 
@@ -183,6 +188,26 @@ class Sequential:
         if not outputs.flags.writeable:
             outputs = outputs.copy()  # a final RepeatVector's broadcast view
         return outputs
+
+    @contextlib.contextmanager
+    def transient_workspaces(self) -> Iterator[None]:
+        """Scope for a one-off inference pass, such as a calibration.
+
+        Inside it every :class:`LSTM` of the model (a
+        :class:`TimeDistributed` one included) takes its inference
+        workspaces from a dict local to each ``infer`` call, so the
+        pass's widths neither stay pinned nor enter or reorder the
+        layers' workspace LRUs, which keep serving the hot widths.  Each
+        layer's previous mode is restored on exit, also when the body
+        raises.  Outputs are the same bits either way.
+        """
+        with contextlib.ExitStack() as stack:
+            for layer in self.layers:
+                while isinstance(layer, TimeDistributed):
+                    layer = layer.inner
+                if isinstance(layer, LSTM):
+                    stack.enter_context(layer.transient_workspaces())
+            yield
 
     def predict(self, inputs: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Inference in batches; deterministic (dropout disabled).

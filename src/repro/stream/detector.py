@@ -212,7 +212,9 @@ class StreamingDetector:
         windows = np.lib.stride_tricks.sliding_window_view(
             fleet, self.sequence_length, axis=1
         ).reshape(-1, self.sequence_length)
-        errors = self.autoencoder.window_errors(windows[:, :, None])
+        # A one-off pass: its workspaces must not stay pinned in the model.
+        with self.autoencoder.model.transient_workspaces():
+            errors = self.autoencoder.window_errors(windows[:, :, None])
         per_station = errors.reshape(self.n_stations, n_windows)
         self.thresholds = np.percentile(per_station, self.percentile, axis=1)
         return self.thresholds

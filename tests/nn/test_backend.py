@@ -289,6 +289,31 @@ class TestNumpyKernelParity:
                 layer.infer(inputs), layer.forward(inputs), err_msg=f"batch {batch}"
             )
 
+    @pytest.mark.parametrize("batch", [_TILE - 1, 2 * _TILE + 1, 3 * _TILE + 37])
+    @pytest.mark.parametrize("return_sequences", [True, False])
+    @pytest.mark.parametrize("repeat", [False, True])
+    def test_transient_workspaces_keep_the_cached_path_bytes(
+        self, rng, batch, return_sequences, repeat
+    ):
+        """Inside ``Sequential.transient_workspaces`` each ``infer`` call
+        takes its workspaces from a dict of its own (tiles of one width
+        still share one) and runs the cached path's arithmetic, so its
+        output is the same bytes on any BLAS kernel."""
+        head = [RepeatVector(5)] if repeat else []
+        model = Sequential(head + [LSTM(8, return_sequences=return_sequences)], dtype="float32")
+        model.build((3,) if repeat else (5, 3), seed=2)
+        shape = (batch, 3) if repeat else (batch, 5, 3)
+        x = rng.normal(size=shape).astype(np.float32)
+        lstm = model.layers[-1]
+        with model.transient_workspaces():
+            transient = model.infer(x)
+        assert not lstm._infer_workspaces
+        cached = model.infer(x)
+        assert lstm._infer_workspaces
+        assert transient.dtype == cached.dtype == np.float32
+        assert transient.shape == cached.shape
+        assert np.ascontiguousarray(transient).tobytes() == np.ascontiguousarray(cached).tobytes()
+
     def test_window_errors_match_plain_expression(self, rng):
         windows = rng.normal(size=(7, 6, 2))
         recon = rng.normal(size=(7, 6, 2))

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.nn import LSTM, Dense, Dropout, MeanSquaredError, Sequential
+from repro.nn import LSTM, Dense, Dropout, MeanSquaredError, Sequential, TimeDistributed
 from repro.nn.gradcheck import check_model_gradients
 
 RNG = np.random.default_rng(123)
@@ -155,7 +155,7 @@ class TestAllocationFreeLSTM:
         The sigmoid borrows hz as scratch, so no mask or extra buffer."""
         layer = LSTM(units)
         layer.build((3, 1), np.random.default_rng(0))
-        ws = layer._infer_workspace(batch)
+        ws = layer._infer_workspace(batch, layer._infer_workspaces)
         assert sum(a.size for a in ws.values()) == 12 * units * batch
         assert all(a.dtype == layer.dtype for a in ws.values())
 
@@ -180,6 +180,21 @@ class TestAllocationFreeLSTM:
         # LRU: transient batch-size churn must not evict the hot shape.
         assert {k: id(v) for k, v in layer._workspaces[(1, 6)].items()} == hot_buffers
 
+    def test_infer_workspace_count_is_bounded_with_lru_eviction(self):
+        from repro.nn.layers.lstm import _MAX_WORKSPACES
+
+        layer = LSTM(4)
+        layer.build((6, 1), np.random.default_rng(0))
+        hot = np.zeros((1, 6, 1), dtype=layer.dtype)
+        layer.infer(hot)
+        hot_buffers = {k: id(v) for k, v in layer._infer_workspaces[1].items()}
+        for batch in range(2, 2 * _MAX_WORKSPACES + 2):
+            layer.infer(np.zeros((batch, 6, 1), dtype=layer.dtype))
+            layer.infer(hot)  # keep the steady-state width hot
+        assert len(layer._infer_workspaces) <= _MAX_WORKSPACES
+        # LRU: ragged widths must not evict the hot width.
+        assert {k: id(v) for k, v in layer._infer_workspaces[1].items()} == hot_buffers
+
     def test_packed_kernels_refresh_on_weight_mutation(self):
         layer, x = self._warmed_layer()
         before = layer.forward(x).copy()
@@ -194,3 +209,47 @@ class TestAllocationFreeLSTM:
         kernel.touch()
         np.testing.assert_allclose(layer.forward(x), before, rtol=1e-6)
         assert not np.allclose(raw, before)
+
+
+
+class TestTransientWorkspaces:
+    """``Sequential.transient_workspaces``: a one-off pass pins nothing."""
+
+    @staticmethod
+    def _model():
+        model = Sequential([LSTM(4, return_sequences=True), Dense(3), LSTM(2)])
+        model.build((6, 1), seed=0)
+        return model
+
+    def test_scope_reaches_an_lstm_inside_time_distributed(self):
+        # Never built: TimeDistributed folds time into the batch, which
+        # an LSTM cannot take, but the scope must still reach it.
+        wrapped = TimeDistributed(LSTM(3))
+        model = Sequential([LSTM(4, return_sequences=True), wrapped])
+        with model.transient_workspaces():
+            assert model.layers[0]._transient and wrapped.inner._transient
+        assert not (model.layers[0]._transient or wrapped.inner._transient)
+
+    def test_each_mode_is_restored_when_scoring_raises(self):
+        model = self._model()
+        lstms = [model.layers[0], model.layers[2]]
+        with pytest.raises(ValueError, match="expects"):
+            with model.transient_workspaces():
+                assert all(layer._transient for layer in lstms)
+                model.infer(np.zeros((5, 6, 1, 1), dtype=np.float32))  # 4-D: raises
+        assert not any(layer._transient for layer in lstms)
+
+    def test_nested_scope_restores_the_outer_mode(self):
+        model = self._model()
+        lstms = [model.layers[0], model.layers[2]]
+        x = np.zeros((3, 6, 1), dtype=np.float32)
+        with model.transient_workspaces():
+            with pytest.raises(RuntimeError):
+                with model.transient_workspaces():
+                    raise RuntimeError("scoring failed")
+            assert all(layer._transient for layer in lstms)
+            model.infer(x)
+            assert not any(layer._infer_workspaces for layer in lstms)
+        assert not any(layer._transient for layer in lstms)
+        model.infer(x)
+        assert all(list(layer._infer_workspaces) == [3] for layer in lstms)

@@ -10,13 +10,18 @@ never move them, and they survive a state round trip and fleet churn
 bit for bit.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.anomaly.autoencoder import AutoencoderConfig, LSTMAutoencoder
 from repro.anomaly.detector import ReconstructionAnomalyDetector
 from repro.data.windowing import sliding_windows
 from repro.stream.detector import StreamingDetector
 from repro.stream.engine import synthesize_fleet
+from repro.nn import LSTM
+from repro.nn.layers.lstm import _TILE
 from repro.stream.scaler import StreamingMinMaxScaler
 
 N_STATIONS = 3
@@ -146,6 +151,66 @@ class TestCalibrate:
         rates = flags.sum(axis=1) / n_scored
         assert np.all(rates <= 1.0 - percentile / 100.0 + 2.0 / n_scored)
         assert flags.any()
+
+
+class TestCalibrationPinsNothing:
+    """Calibration is a one-off pass: it scores in call-local LSTM
+    workspaces, so the model keeps only what the streaming step reuses."""
+
+    @staticmethod
+    def _setup():
+        # A fresh model per test: the package-wide one's workspace LRUs
+        # carry other tests' widths.
+        config = AutoencoderConfig(
+            sequence_length=8, encoder_units=(6, 3), decoder_units=(3, 6), dropout=0.0
+        )
+        autoencoder = LSTMAutoencoder(config, seed=11)
+        fleet = synthesize_fleet(200, N_TICKS, seed=12)
+        assert fleet.shape[0] * (N_TICKS - config.sequence_length + 1) >= 2 * _TILE
+        return autoencoder, fleet
+
+    @staticmethod
+    def _lstms(autoencoder):
+        return [layer for layer in autoencoder.model.layers if isinstance(layer, LSTM)]
+
+    def test_calibration_retains_under_a_megabyte(self):
+        autoencoder, fleet = self._setup()
+        detector = _detector(autoencoder, fleet)
+        _detector(autoencoder, fleet[:2]).calibrate(fleet[:2])  # lazy set-up, imports
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            detector.calibrate(fleet)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 1_000_000
+
+    def test_calibration_leaves_no_inference_workspace(self):
+        autoencoder, fleet = self._setup()
+        _detector(autoencoder, fleet).calibrate(fleet)
+        assert all(not layer._infer_workspaces for layer in self._lstms(autoencoder))
+
+    def test_recalibration_keeps_the_streaming_workspaces(self):
+        """The hot widths keep their buffers and LRU order: the pass never
+        inserts into, evicts from or reorders a layer's LRU."""
+        autoencoder, fleet = self._setup()
+        detector = _calibrated(autoencoder, fleet)
+        _replay(detector, fleet[:, :16], block_size=8)
+
+        def snapshot():
+            return [
+                [(width, {key: id(a) for key, a in ws.items()})
+                 for width, ws in layer._infer_workspaces.items()]
+                for layer in self._lstms(autoencoder)
+            ]
+
+        hot = snapshot()
+        assert all(hot)
+        before = detector.thresholds.copy()
+        detector.calibrate(fleet)
+        assert snapshot() == hot
+        np.testing.assert_array_equal(detector.thresholds, before)
 
 
 class TestDecisionBoundary:
