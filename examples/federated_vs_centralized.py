@@ -50,8 +50,9 @@ for client in clients:
     print(f"{client.name:<10} {fed_r2:>13.4f} {cent_r2:>15.4f} {gain:>+8.1f}%")
 
 print(
-    f"\ntraining wall-clock: federated {federated.parallel_seconds:.1f}s "
-    f"(parallel) vs centralized {centralized.train_seconds:.1f}s"
+    f"\ntraining time: federated {federated.parallel_seconds:.1f}s "
+    f"(modelled round barrier: slowest client per round) "
+    f"vs centralized {centralized.train_seconds:.1f}s"
 )
 
 # Privacy ledger: what actually crossed the network.

@@ -67,7 +67,7 @@ result = forecaster.train_evaluate(prepared)
 print()
 for name, forecast in result.forecasts.items():
     print(f"{name}: {forecast.metrics}")
-print(f"simulated-parallel training time: {result.parallel_seconds:.1f}s "
-      f"(sequential compute {result.sequential_seconds:.1f}s)")
+print(f"modelled round barrier (slowest client per round): "
+      f"{result.parallel_seconds:.1f}s (all clients' compute {result.sequential_seconds:.1f}s)")
 payload = result.run.communication.total_bytes() / 1e6
 print(f"total weight traffic: {payload:.2f} MB — raw data never left a client")

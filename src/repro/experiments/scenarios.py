@@ -67,7 +67,12 @@ class ExperimentResult:
         return 100.0 * (filtered - attacked) / degradation
 
     def time_reduction_pct(self) -> float:
-        """Federated vs. centralized training-time saving (paper: 18.1%)."""
+        """Federated vs. centralized training-time saving (paper: 18.1%).
+
+        Compares the federated run's modelled round barrier (the slowest
+        client's training seconds per round, summed over rounds) with the
+        centralized model's training seconds.
+        """
         federated = self.federated_filtered.parallel_seconds
         centralized = self.centralized_filtered.train_seconds
         return 100.0 * (centralized - federated) / centralized

@@ -11,8 +11,9 @@ Filtered Data  Federated     3.9801  5.7921  0.8883  85.95
 Filtered Data  Centralized   6.1644  8.6040  0.7536  101.46
 =============  ============  ======  ======  ======  ========
 
-Federated times are the simulated-parallel wall-clock (stations train
-concurrently in deployment); the centralized time is its actual
+Federated times are the modelled round barrier: the slowest client's
+training seconds per round, summed over rounds (stations train
+concurrently in deployment).  The centralized time is its actual
 training wall-clock.
 """
 

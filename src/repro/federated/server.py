@@ -4,18 +4,9 @@ The server holds the global weight list, broadcasts it at the start of
 each round, collects trained client weights, and aggregates them (FedAvg
 in the paper).  It never sees client data — the communication log proves
 only weight payloads move.
-
-Client rounds can train concurrently (``max_workers > 1``): every client
-owns its own model, optimizer and RNG streams, and numpy's BLAS kernels
-release the GIL, so a thread pool gives real speedup while the per-client
-math — and therefore the aggregated global weights — stays bit-identical
-to the sequential schedule (collection order is fixed by the client
-list, not completion order).
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -51,17 +42,11 @@ class FederatedServer:
         clients: list[FederatedClient],
         epochs: int,
         batch_size: int,
-        max_workers: int | None = None,
     ) -> dict[str, tuple[float, float]]:
         """One synchronous federated round over ``clients``.
 
         Broadcast → local training → collect → aggregate → install.
         Returns per-client ``(final_loss, wall_seconds)``.
-
-        ``max_workers`` > 1 trains clients concurrently in a thread pool;
-        the aggregated result is bit-identical to the sequential schedule
-        because each client's training is independent and collection
-        order follows the client list.
         """
         if not clients:
             raise ValueError("cannot run a round with zero clients")
@@ -69,22 +54,12 @@ class FederatedServer:
         for client in clients:
             self.communication.record(self.round_index, client.name, "download", broadcast)
 
-        def train(client: FederatedClient) -> tuple[float, float]:
-            client.set_weights(broadcast)
-            return client.train_round(epochs, batch_size)
-
-        workers = min(max_workers or 1, len(clients))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(train, clients))
-        else:
-            results = [train(client) for client in clients]
-
         stats: dict[str, tuple[float, float]] = {}
         collected: list[list[np.ndarray]] = []
         sample_counts: list[int] = []
-        for client, (loss, seconds) in zip(clients, results, strict=True):
-            stats[client.name] = (loss, seconds)
+        for client in clients:
+            client.set_weights(broadcast)
+            stats[client.name] = client.train_round(epochs, batch_size)
             weights = client.get_weights()
             self.communication.record(self.round_index, client.name, "upload", weights)
             collected.append(weights)

@@ -5,27 +5,21 @@ Runs the paper's protocol — ``FEDERATED_ROUNDS`` rounds of
 set of clients, recording per-round losses, communication payloads and
 two wall-clock views:
 
-* ``sequential_seconds`` — total compute (clients trained one after
-  another), and
-* ``parallel_seconds`` — the deployment-realistic wall-clock where all
+* ``sequential_seconds`` — total compute (the sum of every client's
+  training time), and
+* ``parallel_seconds`` — the modelled deployment wall-clock where all
   clients train concurrently: per round, the *maximum* client duration
   (the round barrier), summed over rounds.
 
+Clients train one after another, so each client's seconds are measured
+without contention from the others.
+
 The paper's Table I "Time (s)" for the federated rows corresponds to the
 parallel view (stations train simultaneously in the field).
-
-By default the simulation trains clients concurrently in a thread pool
-sized ``min(participants, cpus)`` per round (BLAS releases the GIL;
-every client owns its model), so ``measured_wall_seconds`` — the real
-elapsed time per round, summed — approaches ``parallel_seconds``
-instead of ``sequential_seconds`` while the aggregated weights stay
-bit-identical to the sequential schedule.  Pass ``max_workers=1`` to
-opt out and train strictly sequentially.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -52,8 +46,8 @@ class RoundRecord:
     client_losses: dict[str, float]
     client_seconds: dict[str, float]
     participants: list[str]
-    #: Real elapsed time of the round (includes aggregation overhead);
-    #: with a thread pool this tracks the barrier, not the client sum.
+    #: Real elapsed time of the round: every client's training plus
+    #: broadcast, collection and aggregation.
     wall_seconds: float = 0.0
 
     @property
@@ -81,11 +75,6 @@ class FederatedRunResult:
         return sum(r.barrier_seconds for r in self.rounds)
 
     @property
-    def measured_wall_seconds(self) -> float:
-        """Actually measured elapsed training time, summed over rounds."""
-        return sum(r.wall_seconds for r in self.rounds)
-
-    @property
     def final_losses(self) -> dict[str, float]:
         """Last recorded local loss per client."""
         losses: dict[str, float] = {}
@@ -110,10 +99,6 @@ class FederatedSimulation:
     aggregator: str | Aggregator = "fedavg"
     client_sampler: ClientSampler | None = None
     sync_final: bool = False
-    #: Concurrent client training (bit-identical aggregation either way).
-    #: ``None`` (default) sizes the pool as ``min(participants, cpus)``
-    #: per round; pass ``1`` to opt out and train strictly sequentially.
-    max_workers: int | None = None
     seed: SeedLike = None
     _sampler_rng: np.random.Generator = field(init=False, repr=False, default=None)  # type: ignore[assignment]
 
@@ -122,8 +107,6 @@ class FederatedSimulation:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if self.epochs_per_round < 1:
             raise ValueError(f"epochs_per_round must be >= 1, got {self.epochs_per_round}")
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
         self._sampler_rng = spawn(self.seed, "sampler")
 
     def run(self, client_data: dict[str, tuple[np.ndarray, np.ndarray]]) -> FederatedRunResult:
@@ -156,12 +139,7 @@ class FederatedSimulation:
         for round_index in range(self.rounds):
             participants = self._select(round_index, clients)
             with Timer() as round_timer:
-                stats = server.run_round(
-                    participants,
-                    self.epochs_per_round,
-                    self.batch_size,
-                    max_workers=self.resolve_workers(len(participants)),
-                )
+                stats = server.run_round(participants, self.epochs_per_round, self.batch_size)
             record = RoundRecord(
                 round_index=round_index,
                 client_losses={name: loss for name, (loss, _) in stats.items()},
@@ -219,24 +197,9 @@ class FederatedSimulation:
         ).observe(record.wall_seconds)
         reg.histogram(
             "repro_federated_aggregate_seconds",
-            help="Round time not spent inside the slowest client "
-            "(scheduling + FedAvg aggregation overhead).",
-        ).observe(max(record.wall_seconds - record.barrier_seconds, 0.0))
-
-    def resolve_workers(self, n_participants: int) -> int:
-        """Thread-pool size for one round.
-
-        Defaults (``max_workers=None``) to one worker per participating
-        client, capped at the machine's CPU count — concurrent rounds
-        are bit-identical to sequential ones (every client owns its
-        model/optimizer/RNG and collection order is fixed by the client
-        list), so there is no correctness reason to leave the default
-        sequential.  ``max_workers=1`` opts back into strictly
-        sequential training.
-        """
-        if self.max_workers is not None:
-            return min(self.max_workers, max(n_participants, 1))
-        return max(min(n_participants, os.cpu_count() or 1), 1)
+            help="Round time not spent training clients "
+            "(broadcast, collection, aggregation).",
+        ).observe(max(record.wall_seconds - sum(record.client_seconds.values()), 0.0))
 
     def _select(self, round_index: int, clients: list[FederatedClient]) -> list[FederatedClient]:
         if self.client_sampler is None:

@@ -89,8 +89,7 @@ output.  Only a consumer that needs rows
 once per call.
 
 Because workspaces are reused, a layer instance must not be driven from
-multiple threads concurrently (models are cheap — use one per thread, as
-the federated runtime does).
+multiple threads concurrently (models are cheap — use one per thread).
 """
 
 from __future__ import annotations

@@ -124,6 +124,16 @@ class TestFederatedSimulation:
         # Holds by construction: per round, max <= sum of the same client samples.
         assert result.parallel_seconds <= result.sequential_seconds
 
+    def test_round_timer_covers_its_clients(self, client_data):
+        # Each client's timed interval nests inside the round's timer and
+        # the intervals do not overlap, so the round lasts at least as
+        # long as its clients' training put together.
+        simulation = FederatedSimulation(builder, rounds=2, epochs_per_round=1, seed=0)
+        result = simulation.run(client_data)
+        for record in result.rounds:
+            client_total = sum(record.client_seconds.values())
+            assert record.wall_seconds >= client_total > 0.0
+
     def test_clients_share_global_at_round_start(self, client_data):
         # After a run with sync_final=True every client equals the server.
         simulation = FederatedSimulation(

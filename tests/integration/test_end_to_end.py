@@ -70,8 +70,8 @@ class TestScenarioShapes:
     def test_federated_work_below_centralized(self, result):
         """The time-reduction claim as counted work, not wall-clock.
 
-        Clients train concurrently, so a round costs its largest client's
-        samples x epochs; summed over rounds, that must stay below the
+        Deployed clients train concurrently, so a round costs its largest
+        client's samples x epochs; summed over rounds, that must stay below the
         pooled model's samples x epochs.  (FederatedClient.train_round
         fits with no callbacks, so it runs exactly epochs_per_round.)
         """

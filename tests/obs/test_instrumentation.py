@@ -226,6 +226,11 @@ class TestFederatedMetrics:
         assert reg.histogram("repro_federated_round_barrier_seconds").count == 2
         assert reg.histogram("repro_federated_aggregate_seconds").count == 2
         round_sum = reg.histogram("repro_federated_round_seconds").sum
-        assert round_sum == pytest.approx(result.measured_wall_seconds)
+        assert round_sum == pytest.approx(sum(r.wall_seconds for r in result.rounds))
         barrier_sum = reg.histogram("repro_federated_round_barrier_seconds").sum
         assert barrier_sum == pytest.approx(result.parallel_seconds)
+        # Aggregate time is the round time left after every client's
+        # training: clients train one after another inside the round.
+        client_sum = reg.histogram("repro_federated_client_seconds").sum
+        aggregate_sum = reg.histogram("repro_federated_aggregate_seconds").sum
+        assert aggregate_sum == pytest.approx(round_sum - client_sum)
