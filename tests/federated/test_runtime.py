@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.federated.aggregation import FedAvg
 from repro.federated.client import FederatedClient
 from repro.federated.communication import CommunicationLog, payload_bytes
 from repro.federated.server import FederatedServer
-from repro.federated.simulation import FederatedSimulation
+from repro.federated.simulation import FederatedRunResult, FederatedSimulation, RoundRecord
 from repro.nn import Adam, Dense, LSTM, Sequential
 
 
@@ -81,6 +82,13 @@ class TestFederatedClient:
             np.testing.assert_array_equal(got, expected)
 
 
+def make_clients(client_data):
+    return [
+        FederatedClient(name, builder, x, y, seed=i)
+        for i, (name, (x, y)) in enumerate(client_data.items())
+    ]
+
+
 class TestFederatedServer:
     def test_round_aggregates_and_installs(self, rng, client_data):
         server = FederatedServer(builder, (6, 1), aggregator="fedavg", seed=0)
@@ -112,6 +120,71 @@ class TestFederatedServer:
         server = FederatedServer(builder, (6, 1), seed=0)
         with pytest.raises(ValueError, match="zero clients"):
             server.run_round([], 1, 16)
+
+    def test_collection_follows_client_order(self, client_data):
+        server = FederatedServer(builder, (6, 1), seed=0)
+        clients = make_clients(client_data)[::-1]
+        stats = server.run_round(clients, 1, 16)
+        order = [client.name for client in clients]
+        assert list(stats) == order
+        uploads = [r.client_name for r in server.communication.records if r.direction == "upload"]
+        assert uploads == order
+
+    def test_each_client_trains_from_the_broadcast(self, client_data):
+        # Training one client after another must not hand a client its
+        # predecessor's trained weights: each starts from the broadcast,
+        # exactly as if it had trained alone.
+        server = FederatedServer(builder, (6, 1), seed=0)
+        broadcast = server.global_weights()
+        in_round = make_clients(client_data)
+        server.run_round(in_round, 1, 16)
+        for client in make_clients(client_data):
+            client.set_weights(broadcast)
+            client.train_round(1, 16)
+            trained_in_round = next(c for c in in_round if c.name == client.name)
+            for got, expected in zip(
+                trained_in_round.get_weights(), client.get_weights(), strict=True
+            ):
+                np.testing.assert_array_equal(got, expected)
+
+    def test_client_order_does_not_change_local_training(self, client_data):
+        forward = make_clients(client_data)
+        backward = make_clients(client_data)[::-1]
+        FederatedServer(builder, (6, 1), seed=0).run_round(forward, 1, 16)
+        FederatedServer(builder, (6, 1), seed=0).run_round(backward, 1, 16)
+        by_name = {client.name: client for client in backward}
+        for client in forward:
+            for a, b in zip(client.get_weights(), by_name[client.name].get_weights(), strict=True):
+                np.testing.assert_array_equal(a, b)
+
+    def test_installs_the_aggregate_of_the_uploads(self, client_data):
+        server = FederatedServer(builder, (6, 1), seed=0)
+        clients = make_clients(client_data)
+        server.run_round(clients, 1, 16)
+        expected = FedAvg().aggregate(
+            [client.get_weights() for client in clients],
+            [client.n_samples for client in clients],
+        )
+        for got, want in zip(server.global_weights(), expected, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+
+class TestRoundTiming:
+    def test_barrier_is_the_slowest_client(self):
+        record = RoundRecord(0, {}, {"a": 0.5, "b": 2.0, "c": 1.25}, ["a", "b", "c"])
+        assert record.barrier_seconds == 2.0
+
+    def test_barrier_of_a_round_without_timings_is_zero(self):
+        assert RoundRecord(0, {}, {}, []).barrier_seconds == 0.0
+
+    def test_run_views_sum_over_rounds(self):
+        rounds = [
+            RoundRecord(0, {}, {"a": 1.0, "b": 3.0}, ["a", "b"], wall_seconds=4.5),
+            RoundRecord(1, {}, {"a": 2.0, "b": 0.5}, ["a", "b"], wall_seconds=2.75),
+        ]
+        result = FederatedRunResult(builder(), [], rounds, CommunicationLog(), "fedavg")
+        assert result.parallel_seconds == 3.0 + 2.0
+        assert result.sequential_seconds == 4.0 + 2.5
 
 
 class TestFederatedSimulation:
@@ -181,6 +254,20 @@ class TestFederatedSimulation:
         result = simulation.run(client_data)
         for record in result.rounds:
             assert record.participants == ["Client 1", "Client 2"]
+
+    def test_sampled_out_client_does_not_train(self, client_data):
+        def sampler(round_index, clients, rng):
+            return [c for c in clients if c.name != "Client 2"]
+
+        simulation = FederatedSimulation(
+            builder, rounds=2, epochs_per_round=1, client_sampler=sampler, seed=0
+        )
+        result = simulation.run(client_data)
+        for record in result.rounds:
+            assert list(record.client_seconds) == ["Client 1", "Client 3"]
+        idle = next(client for client in result.clients if client.name == "Client 2")
+        assert idle.round_losses == []
+        assert "Client 2" not in result.communication.bytes_by_client()
 
     def test_sampler_returning_empty_rejected(self, client_data):
         simulation = FederatedSimulation(
